@@ -10,15 +10,13 @@ Conventions used throughout the package:
 * the controller-parameter solvers return ``nan`` as the "infeasible"
   sentinel (delay target unreachable); use :func:`is_infeasible` to test.
 
-All functions here are pure and stateless.  The scalar ones are numba-jitted
-so the simulator kernel can call them per coalescing cycle without leaving
-compiled code; with ``EEECOAL_NO_NUMBA=1`` they run as plain Python.
+All functions here are pure and stateless.  The scalar ones take and return
+plain floats: the simulator kernel calls the solvers once per coalescing
+cycle, and arithmetic on numpy scalars would be several times slower.
 """
 
 import math
 from dataclasses import dataclass
-
-from ._accel import njit
 
 
 def is_infeasible(x: float) -> bool:
@@ -101,7 +99,6 @@ class BoundResult:
 # baseline delay
 # --------------------------------------------------------------------------
 
-@njit(cache=True)
 def w0_general(lam, mu, var_interarrival, var_service):
     """Coalescing-independent baseline delay term of the GI/G/1 model.
 
@@ -125,7 +122,6 @@ def w0_exact(stats: TrafficStats) -> float:
     return w0_general(stats.lam, stats.mu, stats.var_interarrival, stats.var_service)
 
 
-@njit(cache=True)
 def w0_poisson_deterministic(lam, rho):
     """Baseline delay assuming Poisson arrivals and fixed-size frames.
 
@@ -143,7 +139,6 @@ def w0_poisson_deterministic(lam, rho):
 # energy
 # --------------------------------------------------------------------------
 
-@njit(cache=True)
 def energy_ratio_scalar(phi_off, ts, tw, rho, t_off_mean):
     if t_off_mean < 0.0:
         raise ValueError("t_off_mean must be >= 0")
@@ -169,7 +164,6 @@ def energy_ratio(params: EeeParams, rho: float, t_off_mean: float) -> float:
 # time-based coalescing (timer of duration v started by the first arrival)
 # --------------------------------------------------------------------------
 
-@njit(cache=True)
 def toff_time_based(lam, v, ts):
     """Mean LPI residency per cycle for a timer coalescer, Poisson arrivals."""
     if lam <= 0.0:
@@ -179,7 +173,6 @@ def toff_time_based(lam, v, ts):
     return 1.0 / lam + v - ts
 
 
-@njit(cache=True)
 def delay_time_based(lam, v, tw, w0):
     """Mean queuing delay for a timer coalescer, Poisson arrivals.
 
@@ -198,7 +191,6 @@ def delay_time_based(lam, v, tw, w0):
 # size-based coalescing (wake when qw frames are queued)
 # --------------------------------------------------------------------------
 
-@njit(cache=True)
 def upper_incomplete_gamma(q, x):
     """Upper incomplete gamma for integer order q >= 1.
 
@@ -221,7 +213,6 @@ def upper_incomplete_gamma(q, x):
     return fact * math.exp(-x) * s
 
 
-@njit(cache=True)
 def toff_size_based(lam, qw, ts):
     """Mean LPI residency per cycle for a queue-threshold coalescer.
 
@@ -247,7 +238,6 @@ def toff_size_based(lam, qw, ts):
     return (qw * e * s1 - x * e * s0) / lam
 
 
-@njit(cache=True)
 def delay_size_based(lam, qw, tw, w0):
     """Mean queuing delay for a queue-threshold coalescer, Poisson arrivals.
 
@@ -266,7 +256,6 @@ def delay_size_based(lam, qw, tw, w0):
     )
 
 
-@njit(cache=True)
 def delay_size_based_approx(lam, qw, tw, w0):
     """Large-threshold approximation of :func:`delay_size_based`."""
     if lam <= 0.0:
@@ -280,7 +269,6 @@ def delay_size_based_approx(lam, qw, tw, w0):
 # controller parameter solvers
 # --------------------------------------------------------------------------
 
-@njit(cache=True)
 def optimal_timer(tau, lam, tw, w0, ts=0.0):
     """Timer duration whose predicted mean delay equals tau.
 
@@ -299,7 +287,6 @@ def optimal_timer(tau, lam, tw, w0, ts=0.0):
     return v
 
 
-@njit(cache=True)
 def optimal_threshold_approx(tau, lam, tw, w0):
     """Queue threshold for delay tau via the large-threshold approximation.
 
@@ -315,64 +302,67 @@ def optimal_threshold_approx(tau, lam, tw, w0):
     return q
 
 
-@njit(cache=True)
-def _threshold_cubic_value(q, lam, tw, d):
-    a = 2.0 * lam * tw - 2.0 * lam * d - 3.0
-    b = lam * lam * tw * tw - 2.0 * lam * lam * tw * d - 4.0 * lam * tw
-    c = 2.0 * lam * tw
-    return ((q + a) * q + b) * q + c
+def _cubic_real_roots(a, b, c):
+    """Real roots of x^3 + a x^2 + b x + c in ascending order.
+
+    Cardano's formula when there is one real root, the trigonometric form
+    when there are three; each root then takes two Newton steps, which
+    recover the digits the closed form loses to cancellation.
+    """
+    s = a / 3.0
+    p = b - a * s                       # depressed cubic t^3 + p t + r,
+    r = (2.0 * s * s - b) * s + c       # with x = t - s
+    disc = 0.25 * r * r + p * p * p / 27.0
+    if disc > 0.0:
+        # u^3 = -r/2 -+ sqrt(disc), sign chosen so the two terms do not cancel
+        u = math.cbrt(-0.5 * r - math.copysign(math.sqrt(disc), r))
+        ts = (u - p / (3.0 * u),)
+    else:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        cos3 = 3.0 * r / (p * m) if p != 0.0 else 0.0
+        theta = math.acos(min(1.0, max(-1.0, cos3))) / 3.0
+        ts = sorted(m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3))
+    roots = []
+    for t in ts:
+        x = t - s
+        for _ in range(2):
+            fp = (3.0 * x + 2.0 * a) * x + b
+            if fp == 0.0:
+                break
+            x -= (((x + a) * x + b) * x + c) / fp
+        roots.append(x)
+    return roots
 
 
-@njit(cache=True)
 def optimal_threshold_cubic(tau, lam, tw, w0):
     """Queue threshold for delay tau as a root of the exact cubic condition.
 
-    Bracketing bisection on [1, 2*lam*tau + 10] to 1e-9; if several roots
-    fall in range, the one whose predicted delay is nearest tau wins.
-    Returns nan when no root >= 1 exists.
+    The cubic is ``delay_size_based(lam, q, tw, w0) = tau`` multiplied
+    through by its denominators.  Of its real roots in
+    [1, 2*lam*tau + 10], the one whose predicted delay is nearest tau wins.
+    Returns nan when no root falls in that range.
+
+    Two roots fall in range only when lam*tw is large and tau lies in the
+    dip of ``delay_size_based`` just above q = 1; both then predict tau, so
+    rounding decides between them.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     d = tau - w0
-    lo = 1.0
+    lt = lam * tw
+    a = 2.0 * lt - 2.0 * lam * d - 3.0
+    b = lt * lt - 2.0 * lam * lt * d - 4.0 * lt
     hi = 2.0 * lam * tau + 10.0
-    nseg = 256
     best = math.nan
     best_dist = math.inf
-    x_prev = lo
-    f_prev = _threshold_cubic_value(lo, lam, tw, d)
-    for k in range(1, nseg + 1):
-        x = lo + (hi - lo) * k / nseg
-        f = _threshold_cubic_value(x, lam, tw, d)
-        root = math.nan
-        if f_prev == 0.0:
-            root = x_prev
-        elif f_prev * f < 0.0:
-            a, b = x_prev, x
-            fa = f_prev
-            while b - a > 1e-9:
-                m = 0.5 * (a + b)
-                fm = _threshold_cubic_value(m, lam, tw, d)
-                if fm == 0.0:
-                    a = m
-                    b = m
-                elif fa * fm < 0.0:
-                    b = m
-                else:
-                    a = m
-                    fa = fm
-            root = 0.5 * (a + b)
-        if not math.isnan(root):
-            dist = abs(delay_size_based(lam, root, tw, w0) - tau)
+    for q in _cubic_real_roots(a, b, 2.0 * lt):
+        if 1.0 <= q <= hi:
+            dist = abs(delay_size_based(lam, q, tw, w0) - tau)
             if dist < best_dist:
                 best_dist = dist
-                best = root
-        x_prev = x
-        f_prev = f
-    if f_prev == 0.0 and abs(delay_size_based(lam, x_prev, tw, w0) - tau) < best_dist:
-        best = x_prev
+                best = q
     return best
 
 
@@ -380,7 +370,6 @@ def optimal_threshold_cubic(tau, lam, tw, w0):
 # efficiency bounds for a target mean delay
 # --------------------------------------------------------------------------
 
-@njit(cache=True)
 def toff_upper_bound_scalar(tau, ts, tw, lam, mu, var_i, var_s):
     if tau <= 0.0:
         raise ValueError("tau must be positive")

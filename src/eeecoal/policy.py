@@ -13,15 +13,14 @@ service time are EWMA-smoothed, and the arrival/service rates are the ratios
 of the smoothed totals.  Cycles with fewer than two frames leave the
 estimate untouched.
 
-The scalar planning helpers are numba-jitted; the simulator kernel calls
-them directly so adaptive runs never leave compiled code.
+The scalar planning helpers take and return plain floats; the simulator
+kernel calls them directly, once per cycle.
 """
 
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ._accel import njit
 from .analytic import (
     EeeParams,
     optimal_threshold_approx,
@@ -47,7 +46,7 @@ MODE_TIMER = 1
 MODE_THRESHOLD = 2
 MODE_DUAL = 3
 
-_MODE_NAMES = {
+MODE_NAMES = {
     MODE_SUSPEND: "suspend",
     MODE_TIMER: "timer",
     MODE_THRESHOLD: "threshold",
@@ -182,10 +181,9 @@ class WakePlan:
 
 
 # --------------------------------------------------------------------------
-# jitted scalar cores (shared with the simulator kernel)
+# scalar cores (shared with the simulator kernel)
 # --------------------------------------------------------------------------
 
-@njit(cache=True)
 def _plan_dynamic_timer(tau, lam_hat, mu_hat, ts, tw):
     """Timer for target tau from estimated rates; nan when infeasible."""
     if lam_hat <= 0.0 or mu_hat <= 0.0:
@@ -197,7 +195,6 @@ def _plan_dynamic_timer(tau, lam_hat, mu_hat, ts, tw):
     return optimal_timer(tau, lam_hat, tw, w0, ts)
 
 
-@njit(cache=True)
 def _plan_dynamic_size(tau, lam_hat, mu_hat, tw, use_cubic):
     """Integer threshold for target tau; nan when infeasible."""
     if lam_hat <= 0.0 or mu_hat <= 0.0:
@@ -218,7 +215,6 @@ def _plan_dynamic_size(tau, lam_hat, mu_hat, tw, use_cubic):
     return qi
 
 
-@njit(cache=True)
 def _plan_scalar(kind, v_static, qw_static, tau, use_cubic, lam_hat, mu_hat,
                  est_valid, ts, tw):
     """Plan one cycle; returns (mode, timer_us, threshold)."""
@@ -243,7 +239,6 @@ def _plan_scalar(kind, v_static, qw_static, tau, use_cubic, lam_hat, mu_hat,
     return 2, 0.0, q
 
 
-@njit(cache=True)
 def _estimate_update(frames_s, duration_s, service_s, valid_prev, n_frames,
                      duration, svc_total, weight):
     """Fold one finished cycle into the smoothed totals.
@@ -283,7 +278,7 @@ def plan_cycle(config: PolicyConfig, estimate: TrafficEstimate,
         params.ts,
         params.tw,
     )
-    return WakePlan(mode=_MODE_NAMES[int(mode)], timer_us=float(v), threshold=int(qw))
+    return WakePlan(mode=MODE_NAMES[mode], timer_us=float(v), threshold=int(qw))
 
 
 def update_estimate(previous: TrafficEstimate, cycle: "CycleRecord",

@@ -12,7 +12,7 @@ at ``phi_off``.
 
 Because wake conditions depend only on arrival times, the whole run reduces
 to a single pass over the (pre-drawn) arrival array; the pass is the hot
-kernel and is numba-jitted (pure-Python fallback via ``EEECOAL_NO_NUMBA=1``).
+kernel, plain Python over memoryviews of the arrays.
 Per-frame queuing delays (service start minus arrival) are recorded exactly;
 aggregates skip a warm-up prefix of cycles.
 """
@@ -23,13 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import njit
 from .analytic import EeeParams
 from .policy import (
-    MODE_SUSPEND,
-    MODE_TIMER,
-    MODE_THRESHOLD,
-    MODE_DUAL,
+    MODE_NAMES,
     PolicyConfig,
     _estimate_update,
     _plan_scalar,
@@ -89,7 +85,6 @@ _C_NSLEEP = 12
 _C_NCOLS = 13
 
 
-@njit(cache=True)
 def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma_w,
                 ts, tw, warmup, record):
     n = arr.shape[0]
@@ -99,6 +94,10 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma_w,
     else:
         cyc = np.empty((0, _C_NCOLS), dtype=np.float64)
     summary = np.zeros(_SUMMARY_LEN, dtype=np.float64)
+    # Index through memoryviews: each read is a Python float, so the per-frame
+    # and per-cycle arithmetic (down to the planner's solvers) never runs on
+    # numpy scalars, which is several times slower.  No copy is made.
+    arr, svc, dly = memoryview(arr), memoryview(svc), memoryview(delays)
 
     est_frames = 0.0
     est_duration = 0.0
@@ -221,7 +220,7 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma_w,
         j = i
         while True:
             start = depart if depart > arr[j] else arr[j]
-            delays[j] = start - arr[j]
+            dly[j] = start - arr[j]
             depart = start + svc[j]
             svc_sum += svc[j]
             j += 1
@@ -240,7 +239,7 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma_w,
                 nsleep = k - i
             cyc[c, _C_START] = t_empty
             cyc[c, _C_TE] = t_first - t_empty
-            cyc[c, _C_WF] = delays[first_i]
+            cyc[c, _C_WF] = dly[first_i]
             cyc[c, _C_TOFF] = t_off
             cyc[c, _C_NFRAMES] = nfr
             cyc[c, _C_FIRSTIDX] = first_i
@@ -443,14 +442,6 @@ def run(traffic: TrafficSpec, policy: PolicyConfig, params: EeeParams = EeeParam
     )
 
 
-_MODE_BY_CODE = {
-    MODE_SUSPEND: "suspend",
-    MODE_TIMER: "timer",
-    MODE_THRESHOLD: "threshold",
-    MODE_DUAL: "dual",
-}
-
-
 def cycle_records(report: SimReport) -> list[CycleRecord]:
     """Materialize per-cycle records from a record_cycles run."""
     if report.cycles is None:
@@ -470,7 +461,7 @@ def cycle_records(report: SimReport) -> list[CycleRecord]:
             frames_total=nfr,
             bytes_total=float(sizes[first:first + nfr].sum()),
             cycle_duration=float(row[_C_DUR]),
-            planned_mode=_MODE_BY_CODE[int(row[_C_MODE])],
+            planned_mode=MODE_NAMES[int(row[_C_MODE])],
             planned_v=float(row[_C_V]),
             planned_qw=int(row[_C_QW]),
             lambda_hat=float(row[_C_LAMHAT]),

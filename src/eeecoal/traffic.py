@@ -158,7 +158,7 @@ class Trace:
 
 
 def load_trace(path: str | Path) -> Trace:
-    """Parse a trace CSV; malformed lines and decreasing timestamps are errors."""
+    """Parse a trace CSV; malformed lines, nan/inf fields and decreasing times are errors."""
     times: list[float] = []
     sizes: list[float] = []
     seen_data = False
@@ -185,17 +185,45 @@ def load_trace(path: str | Path) -> Trace:
             if s <= 0:
                 raise TraceFormatError(f"{path}: line {lineno}: frame size must be positive")
             if times and t < times[-1]:
+                # an earlier nan or inf is the real fault; name it first
+                _check_finite(path, times, sizes)
                 raise TraceFormatError(
                     f"{path}: line {lineno}: decreasing timestamp {t} after {times[-1]}"
                 )
             times.append(t)
             sizes.append(s)
             seen_data = True
-    return Trace(
-        times=np.asarray(times, dtype=np.float64),
-        sizes=np.asarray(sizes, dtype=np.float64),
-        path=str(path),
-    )
+    t_arr = np.asarray(times, dtype=np.float64)
+    s_arr = np.asarray(sizes, dtype=np.float64)
+    _check_finite(path, t_arr, s_arr)
+    return Trace(times=t_arr, sizes=s_arr, path=str(path))
+
+
+def _check_finite(path, times, sizes) -> None:
+    """Reject a nan or inf field, naming the line of the first one.
+
+    One vectorised pass; the file is read again only to find the line.  A
+    nan timestamp would otherwise slip past the non-decreasing check, which
+    no comparison with nan can fail.
+    """
+    finite = np.isfinite(times) & np.isfinite(sizes)
+    if finite.all():
+        return
+    bad = int(np.argmin(finite))
+    k = -1
+    with open(path, "r", encoding="utf-8", newline=None) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            fields = raw.split(",")
+            if raw.lstrip().startswith("#") or len(fields) != 2:
+                continue
+            try:
+                float(fields[0]), float(fields[1])
+            except ValueError:
+                continue        # a header: every other line has parsed
+            k += 1
+            if k == bad:
+                break
+    raise TraceFormatError(f"{path}: line {lineno}: non-finite field in {raw.strip()!r}")
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eeecoal import EeeParams, TrafficStats, analytic
@@ -29,6 +29,7 @@ from eeecoal.analytic import (
 )
 
 from conftest import LAM_5G, MU_10G_1500B, W0_5G
+from oracles import threshold_cubic_bisection, threshold_cubic_value
 
 TS, TW = 2.88, 4.48
 
@@ -312,6 +313,37 @@ class TestOptimalThreshold:
                     assert is_infeasible(ours)
                 else:
                     assert ours == pytest.approx(oracle, abs=1e-6)
+
+    @given(
+        tau=st.floats(0.5, 1000.0),
+        lam=st.floats(0.001, 0.95),
+        rho=st.floats(0.0, 0.99),
+        tw=st.floats(0.1, 20.0),
+    )
+    @example(tau=6.75, lam=0.34375, rho=0.703125, tw=6.75)
+    @example(tau=212.91609529256988, lam=0.1906152501184961, rho=0.9877518319267179,
+             tw=5.334106778566717)
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_matches_bisection_oracle(self, tau, lam, rho, tw):
+        w0 = w0_poisson_deterministic(lam, rho)
+        ours = optimal_threshold_cubic(tau, lam, tw, w0)
+        oracle = threshold_cubic_bisection(tau, lam, tw, w0)
+        if threshold_cubic_value(1.0, lam, tw, tau - w0) >= 0.0 and not math.isnan(ours):
+            # The cubic is positive at 0 and 1, so its roots >= 1 come in a pair:
+            # with lam*tw large, delay_size_based dips below its value at q = 1
+            # and a target inside the dip is met twice.  Both roots predict tau
+            # exactly, so which is "nearest" is decided by rounding, and the
+            # scan misses the pair when it falls in one segment.
+            assert delay_size_based(lam, ours, tw, w0) == pytest.approx(tau, rel=1e-6)
+            if not math.isnan(oracle):
+                assert delay_size_based(lam, oracle, tw, w0) == pytest.approx(tau, rel=1e-6)
+            return
+        # one root or none; the bisection stops at a 1e-9 bracket, so its root
+        # is off by up to 5e-10
+        assert math.isnan(ours) == math.isnan(oracle)
+        if not math.isnan(oracle):
+            assert abs(ours - oracle) <= 1e-9
+            assert math.floor(ours + 0.5) == math.floor(oracle + 0.5)
 
     def test_approx_reference_points(self):
         q16 = optimal_threshold_approx(16.0, LAM_5G, TW, W0_5G)

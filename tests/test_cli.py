@@ -253,6 +253,13 @@ class TestErrorHandling:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "tau_us" in capsys.readouterr().err
 
+    def test_non_finite_trace_field(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("1.0,1500\nnan,1500\n3.0,1500\n")
+        cfg = write_cfg(tmp_path / "e.cfg", f"trace = {trace}\npolicy = none\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "line 2: non-finite" in capsys.readouterr().err
+
     def test_unwritable_output(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "e.cfg", BASE_CFG)
         blocker = tmp_path / "blocker"

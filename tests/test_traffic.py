@@ -200,6 +200,19 @@ class TestTraceLoading:
         with pytest.raises(TraceFormatError, match="line 3"):
             load_trace(path)
 
+    @pytest.mark.parametrize("text, line", [
+        ("1.0,1500\nnan,1500\n3.0,inf\n", 2),      # nan passes the order check
+        ("1.0,1500\n2.0,1500\n3.0,inf\n", 3),
+        ("# c\nt,s\n1.0,1500\n\n2.0,NaN\n", 5),
+        ("1.0,1500\ninf,1500\n3.0,1500\n", 2),     # not the decreasing line 3
+        ("-inf,1500\n", 1),
+    ], ids=["nan-time", "inf-size", "nan-size-after-header", "inf-time", "minus-inf-time"])
+    def test_non_finite_fields_rejected(self, tmp_path, text, line):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError, match=f"line {line}: non-finite"):
+            load_trace(path)
+
     def test_duplicate_timestamps_allowed(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("1.0,100\n1.0,200\n")
