@@ -315,7 +315,8 @@ def _cubic_real_roots(a, b, c):
     disc = 0.25 * r * r + p * p * p / 27.0
     if disc > 0.0:
         # u^3 = -r/2 -+ sqrt(disc), sign chosen so the two terms do not cancel
-        u = math.cbrt(-0.5 * r - math.copysign(math.sqrt(disc), r))
+        y = -0.5 * r - math.copysign(math.sqrt(disc), r)
+        u = math.copysign(abs(y) ** (1.0 / 3.0), y)
         ts = (u - p / (3.0 * u),)
     else:
         m = 2.0 * math.sqrt(-p / 3.0)

@@ -157,42 +157,52 @@ class Trace:
         )
 
 
-def load_trace(path: str | Path) -> Trace:
-    """Parse a trace CSV; malformed lines, nan/inf fields and decreasing times are errors."""
-    times: list[float] = []
-    sizes: list[float] = []
+def _data_lines(path):
+    """Yield (lineno, line, time, size) for each data line of a trace CSV.
+
+    Blank lines and '#' comments are skipped, and so is a non-numeric line
+    before the first data line (the optional header).
+    """
     seen_data = False
     with open(path, "r", encoding="utf-8", newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = [f.strip() for f in line.split(",")]
+            fields = line.split(",")
             if len(fields) != 2:
                 raise TraceFormatError(
                     f"{path}: line {lineno}: expected 'arrival_time_us,frame_size_bytes', got {line!r}"
                 )
             try:
+                # float() ignores the whitespace around a field
                 t = float(fields[0])
                 s = float(fields[1])
             except ValueError:
                 if not seen_data:
-                    # optional header line
                     continue
                 raise TraceFormatError(
                     f"{path}: line {lineno}: non-numeric fields in {line!r}"
                 ) from None
-            if s <= 0:
-                raise TraceFormatError(f"{path}: line {lineno}: frame size must be positive")
-            if times and t < times[-1]:
-                # an earlier nan or inf is the real fault; name it first
-                _check_finite(path, times, sizes)
-                raise TraceFormatError(
-                    f"{path}: line {lineno}: decreasing timestamp {t} after {times[-1]}"
-                )
-            times.append(t)
-            sizes.append(s)
             seen_data = True
+            yield lineno, line, t, s
+
+
+def load_trace(path: str | Path) -> Trace:
+    """Parse a trace CSV; malformed lines, nan/inf fields and decreasing times are errors."""
+    times: list[float] = []
+    sizes: list[float] = []
+    for lineno, _, t, s in _data_lines(path):
+        if s <= 0:
+            raise TraceFormatError(f"{path}: line {lineno}: frame size must be positive")
+        if times and t < times[-1]:
+            # an earlier nan or inf is the real fault; name it first
+            _check_finite(path, times, sizes)
+            raise TraceFormatError(
+                f"{path}: line {lineno}: decreasing timestamp {t} after {times[-1]}"
+            )
+        times.append(t)
+        sizes.append(s)
     t_arr = np.asarray(times, dtype=np.float64)
     s_arr = np.asarray(sizes, dtype=np.float64)
     _check_finite(path, t_arr, s_arr)
@@ -210,20 +220,9 @@ def _check_finite(path, times, sizes) -> None:
     if finite.all():
         return
     bad = int(np.argmin(finite))
-    k = -1
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            fields = raw.split(",")
-            if raw.lstrip().startswith("#") or len(fields) != 2:
-                continue
-            try:
-                float(fields[0]), float(fields[1])
-            except ValueError:
-                continue        # a header: every other line has parsed
-            k += 1
-            if k == bad:
-                break
-    raise TraceFormatError(f"{path}: line {lineno}: non-finite field in {raw.strip()!r}")
+    for k, (lineno, line, _, _) in enumerate(_data_lines(path)):
+        if k == bad:
+            raise TraceFormatError(f"{path}: line {lineno}: non-finite field in {line!r}")
 
 
 # --------------------------------------------------------------------------

@@ -345,6 +345,14 @@ class TestOptimalThreshold:
             assert abs(ours - oracle) <= 1e-9
             assert math.floor(ours + 0.5) == math.floor(oracle + 0.5)
 
+    def test_one_real_root_without_math_cbrt(self, monkeypatch):
+        # math.cbrt is new in Python 3.11 and the package supports 3.10
+        monkeypatch.delattr(math, "cbrt", raising=False)
+        assert analytic._cubic_real_roots(0.0, 0.0, -8.0) == pytest.approx([2.0], abs=1e-15)
+        assert analytic._cubic_real_roots(0.0, 0.0, 27.0) == pytest.approx([-3.0], abs=1e-15)
+        # (x - 1)(x^2 + 1)
+        assert analytic._cubic_real_roots(-1.0, 1.0, -1.0) == pytest.approx([1.0], abs=1e-15)
+
     def test_approx_reference_points(self):
         q16 = optimal_threshold_approx(16.0, LAM_5G, TW, W0_5G)
         q64 = optimal_threshold_approx(64.0, LAM_5G, TW, W0_5G)

@@ -206,7 +206,9 @@ class TestTraceLoading:
         ("# c\nt,s\n1.0,1500\n\n2.0,NaN\n", 5),
         ("1.0,1500\ninf,1500\n3.0,1500\n", 2),     # not the decreasing line 3
         ("-inf,1500\n", 1),
-    ], ids=["nan-time", "inf-size", "nan-size-after-header", "inf-time", "minus-inf-time"])
+        ("  # a, b\n 1.0 , 1500 \n\n2.0, inf\n", 4),
+    ], ids=["nan-time", "inf-size", "nan-size-after-header", "inf-time", "minus-inf-time",
+            "padded-fields"])
     def test_non_finite_fields_rejected(self, tmp_path, text, line):
         path = tmp_path / "t.csv"
         path.write_text(text)
