@@ -6,23 +6,20 @@ bounds, and a discrete-event simulator that validates all of the above.
 """
 
 from .analytic import (
-    BoundResult,
     CoalescingOutcome,
     EeeParams,
     TrafficStats,
-    delay_energy_bound,
     energy_lower_bound,
     energy_ratio,
     is_infeasible,
     toff_upper_bound,
     w0_exact,
 )
-from .policy import PolicyConfig, TrafficEstimate, WakePlan, plan_cycle, update_estimate
+from .policy import PolicyConfig, predict
 from .simcore import CycleRecord, SimReport, cycle_records, delay_cdf, run
 from .traffic import (
     BimodalSize,
     FixedSize,
-    Frame,
     Pareto,
     Poisson,
     Trace,
@@ -36,33 +33,27 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BimodalSize",
-    "BoundResult",
     "CoalescingOutcome",
     "CycleRecord",
     "EeeParams",
     "FixedSize",
-    "Frame",
     "Pareto",
     "Poisson",
     "PolicyConfig",
     "SimReport",
     "Trace",
-    "TrafficEstimate",
     "TrafficSpec",
     "TrafficStats",
-    "WakePlan",
     "cycle_records",
     "delay_cdf",
-    "delay_energy_bound",
     "energy_lower_bound",
     "energy_ratio",
     "is_infeasible",
     "load_trace",
     "measured_stats",
-    "plan_cycle",
+    "predict",
     "run",
     "theoretical_stats",
     "toff_upper_bound",
-    "update_estimate",
     "w0_exact",
 ]

@@ -40,6 +40,8 @@ class EeeParams:
     def __post_init__(self):
         if not 0.0 <= self.phi_off < 1.0:
             raise ValueError(f"phi_off must be in [0, 1), got {self.phi_off}")
+        if not all(map(math.isfinite, (self.ts, self.tw, self.line_rate))):
+            raise ValueError("ts, tw and line_rate must be finite")
         if self.ts <= 0 or self.tw <= 0:
             raise ValueError("transition times ts and tw must be positive")
         if self.line_rate <= 0:
@@ -87,14 +89,6 @@ class CoalescingOutcome:
     energy_ratio: float   # consumption relative to a power-unaware port
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """Sleep-time upper bound and the energy lower bound it implies."""
-
-    t_off_upper: float
-    energy_lower: float
-
-
 # --------------------------------------------------------------------------
 # baseline delay
 # --------------------------------------------------------------------------
@@ -139,7 +133,12 @@ def w0_poisson_deterministic(lam, rho):
 # energy
 # --------------------------------------------------------------------------
 
-def energy_ratio_scalar(phi_off, ts, tw, rho, t_off_mean):
+def energy_ratio(params: EeeParams, rho: float, t_off_mean: float) -> float:
+    """Energy drawn relative to a port that never sleeps.
+
+    Decreases from 1 (no sleeping) towards the floor
+    ``1 - (1 - phi_off) * (1 - rho)`` as the mean sleep time grows.
+    """
     if t_off_mean < 0.0:
         raise ValueError("t_off_mean must be >= 0")
     if rho < 0.0 or rho >= 1.0:
@@ -147,17 +146,8 @@ def energy_ratio_scalar(phi_off, ts, tw, rho, t_off_mean):
     if math.isinf(t_off_mean):
         frac = 1.0
     else:
-        frac = t_off_mean / (t_off_mean + ts + tw)
-    return 1.0 - (1.0 - phi_off) * (1.0 - rho) * frac
-
-
-def energy_ratio(params: EeeParams, rho: float, t_off_mean: float) -> float:
-    """Energy drawn relative to a port that never sleeps.
-
-    Decreases from 1 (no sleeping) towards the floor
-    ``1 - (1 - phi_off) * (1 - rho)`` as the mean sleep time grows.
-    """
-    return energy_ratio_scalar(params.phi_off, params.ts, params.tw, rho, t_off_mean)
+        frac = t_off_mean / (t_off_mean + params.ts + params.tw)
+    return 1.0 - (1.0 - params.phi_off) * (1.0 - rho) * frac
 
 
 # --------------------------------------------------------------------------
@@ -254,15 +244,6 @@ def delay_size_based(lam, qw, tw, w0):
         - (qw - 1.0) / (lam * qw)
         + ((qw + a - 1.0) ** 2 + qw - 3.0) / (2.0 * lam * (qw + a))
     )
-
-
-def delay_size_based_approx(lam, qw, tw, w0):
-    """Large-threshold approximation of :func:`delay_size_based`."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    if qw < 1.0:
-        raise ValueError("qw must be >= 1")
-    return w0 + (qw + lam * tw - 3.0) / (2.0 * lam)
 
 
 # --------------------------------------------------------------------------
@@ -371,22 +352,6 @@ def optimal_threshold_cubic(tau, lam, tw, w0):
 # efficiency bounds for a target mean delay
 # --------------------------------------------------------------------------
 
-def toff_upper_bound_scalar(tau, ts, tw, lam, mu, var_i, var_s):
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    w0 = w0_general(lam, mu, var_i, var_s)
-    rho = lam / mu
-    g = lam * var_i + (1.0 - rho) / lam
-    s = tau - w0 + g
-    val = (
-        tau - ts - tw - w0 + g
-        + math.sqrt(s * s + 2.0 * (var_i + var_s) + ((1.0 - rho) / lam) ** 2)
-    )
-    if val <= 0.0:
-        return math.nan
-    return val
-
-
 def toff_upper_bound(tau: float, params: EeeParams, stats: TrafficStats) -> float:
     """The paper's closed-form sleep bound: mean sleep time at mean delay tau.
 
@@ -402,10 +367,20 @@ def toff_upper_bound(tau: float, params: EeeParams, stats: TrafficStats) -> floa
     frames and the default :class:`EeeParams` it returns nan for tau in
     2.4-5.47 us, targets that a link which never sleeps meets.
     """
-    return toff_upper_bound_scalar(
-        tau, params.ts, params.tw,
-        stats.lam, stats.mu, stats.var_interarrival, stats.var_service,
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
+    lam, rho = stats.lam, stats.rho
+    var_i, var_s = stats.var_interarrival, stats.var_service
+    w0 = w0_exact(stats)
+    g = lam * var_i + (1.0 - rho) / lam
+    s = tau - w0 + g
+    val = (
+        tau - params.ts - params.tw - w0 + g
+        + math.sqrt(s * s + 2.0 * (var_i + var_s) + ((1.0 - rho) / lam) ** 2)
     )
+    if val <= 0.0:
+        return math.nan
+    return val
 
 
 def energy_lower_bound(tau: float, params: EeeParams, stats: TrafficStats) -> float:
@@ -420,14 +395,6 @@ def energy_lower_bound(tau: float, params: EeeParams, stats: TrafficStats) -> fl
     if math.isnan(t_up):
         return 1.0
     return energy_ratio(params, stats.rho, t_up)
-
-
-def delay_energy_bound(tau: float, params: EeeParams, stats: TrafficStats) -> BoundResult:
-    """Bundle of the sleep-time upper bound and the energy lower bound."""
-    return BoundResult(
-        t_off_upper=toff_upper_bound(tau, params, stats),
-        energy_lower=energy_lower_bound(tau, params, stats),
-    )
 
 
 # --------------------------------------------------------------------------

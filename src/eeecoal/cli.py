@@ -19,7 +19,6 @@ byte-for-byte given the same seed.
 import argparse
 import csv
 import math
-import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -29,16 +28,8 @@ import numpy as np
 
 from . import analytic, simcore, traffic
 from .analytic import EeeParams, TrafficStats
-from .config import Config, ConfigError
-from .policy import (
-    KIND_DYNAMIC_SIZE,
-    KIND_DYNAMIC_TIMER,
-    KIND_NONE,
-    KIND_STATIC_DUAL,
-    KIND_STATIC_SIZE,
-    KIND_STATIC_TIMER,
-    PolicyConfig,
-)
+from .config import Config, ConfigError, parse_call
+from .policy import PolicyConfig, predict
 
 COLUMNS = [
     "rate_gbps", "tau_us",
@@ -61,86 +52,8 @@ ALLOWED_KEYS = {
 DEFAULT_HORIZON_FRAMES = 1_000_000
 
 
-@dataclass(frozen=True)
-class PolicySpec:
-    """Parsed policy grammar; adaptive variants take tau per grid point."""
-
-    name: str
-    v: float = 0.0
-    qw: int = 0
-    solver: str = "approx"
-
-    @property
-    def needs_tau(self) -> bool:
-        return self.name in ("dynamic_timer", "dynamic_size")
-
-    def build(self, tau: float | None) -> PolicyConfig:
-        if self.name == "none":
-            return PolicyConfig.none()
-        if self.name == "static_timer":
-            return PolicyConfig.static_timer(self.v)
-        if self.name == "static_size":
-            return PolicyConfig.static_size(self.qw)
-        if self.name == "static_dual":
-            return PolicyConfig.static_dual(self.v, self.qw)
-        if tau is None:
-            raise ConfigError(f"policy {self.name}: needs a tau_us grid")
-        if self.name == "dynamic_timer":
-            return PolicyConfig.dynamic_timer(tau)
-        return PolicyConfig.dynamic_size(tau, solver=self.solver)
-
-    def label(self) -> str:
-        return self.build(1.0 if self.needs_tau else None).label()
-
-
-_POLICY_RE = re.compile(r"^(\w+)\s*(?:\(([^)]*)\))?$")
-
-
-def parse_policy(text: str) -> PolicySpec:
-    m = _POLICY_RE.match(text.strip())
-    if not m:
-        raise ConfigError(f"policy: cannot parse {text!r}")
-    name, argstr = m.group(1), m.group(2)
-    args = [a.strip() for a in argstr.split(",")] if argstr else []
-    try:
-        if name == "none":
-            _expect_args(text, args, 0)
-            return PolicySpec("none")
-        if name == "static_timer":
-            _expect_args(text, args, 1)
-            return PolicySpec("static_timer", v=float(args[0]))
-        if name == "static_size":
-            _expect_args(text, args, 1)
-            return PolicySpec("static_size", qw=int(args[0]))
-        if name == "static_dual":
-            _expect_args(text, args, 2)
-            return PolicySpec("static_dual", v=float(args[0]), qw=int(args[1]))
-        if name == "dynamic_timer":
-            _expect_args(text, args, 0)
-            return PolicySpec("dynamic_timer")
-        if name == "dynamic_size":
-            if len(args) > 1:
-                raise ConfigError(f"policy {text!r}: at most one solver argument")
-            solver = args[0] if args else "approx"
-            if solver not in ("approx", "cubic"):
-                raise ConfigError(f"policy {text!r}: solver must be approx or cubic")
-            return PolicySpec("dynamic_size", solver=solver)
-    except ValueError:
-        raise ConfigError(f"policy: bad arguments in {text!r}") from None
-    raise ConfigError(f"policy: unknown variant {name!r}")
-
-
-def _expect_args(text, args, n):
-    if len(args) != n:
-        raise ConfigError(f"policy {text!r}: expected {n} argument(s), got {len(args)}")
-
-
 def parse_arrival(text: str, lam: float):
-    m = _POLICY_RE.match(text.strip())
-    if not m:
-        raise ConfigError(f"arrival: cannot parse {text!r}")
-    name, argstr = m.group(1), m.group(2)
-    args = [a.strip() for a in argstr.split(",")] if argstr else []
+    name, args = parse_call(text, "arrival")
     if name == "poisson":
         if args:
             raise ConfigError("arrival poisson takes no arguments (rate comes from rate_gbps)")
@@ -153,11 +66,7 @@ def parse_arrival(text: str, lam: float):
 
 
 def parse_sizes(text: str):
-    m = _POLICY_RE.match(text.strip())
-    if not m:
-        raise ConfigError(f"sizes: cannot parse {text!r}")
-    name, argstr = m.group(1), m.group(2)
-    args = [a.strip() for a in argstr.split(",")] if argstr else []
+    name, args = parse_call(text, "sizes")
     try:
         if name == "fixed":
             if len(args) != 1:
@@ -177,7 +86,7 @@ class ExperimentSpec:
     mode: str
     rates_gbps: tuple[float, ...]
     taus_us: tuple[float, ...]
-    policies: tuple[PolicySpec, ...]
+    policies: tuple[tuple[PolicyConfig, ...], ...]   # per config line; adaptive: per tau
     arrival_text: str | None
     sizes: object | None
     trace: str | None
@@ -214,7 +123,7 @@ def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
 
     rates = tuple(cfg.get_float_list("rate_gbps"))
     taus = tuple(cfg.get_float_list("tau_us"))
-    policies = tuple(parse_policy(p) for p in cfg.get_str_list("policy"))
+    policies = tuple(_policy_line(p, taus) for p in cfg.get_str_list("policy"))
 
     if trace is None and not rates:
         raise ConfigError("rate_gbps: need at least one rate (or use a trace)")
@@ -222,8 +131,6 @@ def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
         raise ConfigError("policy: need at least one policy")
     if mode == "bound" and not taus:
         raise ConfigError("tau_us: bound mode needs at least one target delay")
-    if any(p.needs_tau for p in policies) and not taus:
-        raise ConfigError("tau_us: adaptive policies need at least one target delay")
     for r in rates:
         if r * 1e9 >= params.line_rate:
             print(
@@ -260,6 +167,14 @@ def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
     )
 
 
+def _policy_line(text: str, taus: tuple[float, ...]) -> tuple[PolicyConfig, ...]:
+    """The policies of one config line: one per tau for an adaptive kind."""
+    if not taus:
+        return (PolicyConfig.parse(text),)
+    grid = tuple(PolicyConfig.parse(text, tau) for tau in taus)
+    return grid if grid[0].is_dynamic else grid[:1]
+
+
 # --------------------------------------------------------------------------
 # per-point computations
 # --------------------------------------------------------------------------
@@ -283,50 +198,12 @@ def _stats_for(tspec: traffic.TrafficSpec, params: EeeParams) -> TrafficStats | 
         return None  # e.g. overloaded: no stable-model stats
 
 
-def _analytic_values(policy: PolicyConfig, tau, params, stats):
-    """Closed-form predictions for one point: (phi, delay, toff, v*, qw*)."""
+def _analytic_values(policy: PolicyConfig, params: EeeParams, stats: TrafficStats | None):
+    """Closed-form row values of one point: (phi, delay, toff, V, Q_w), nan where none."""
     if stats is None:
-        return None, None, None, None, None
-    lam, rho = stats.lam, stats.rho
-    w0 = analytic.w0_exact(stats)
-    if policy.kind == KIND_NONE:
-        t_off = analytic.toff_size_based(lam, 1, params.ts)
-        return (analytic.energy_ratio(params, rho, t_off),
-                analytic.delay_size_based(lam, 1.0, params.tw, w0),
-                t_off, None, None)
-    if policy.kind == KIND_STATIC_TIMER:
-        t_off = analytic.toff_time_based(lam, policy.v, params.ts)
-        return (analytic.energy_ratio(params, rho, t_off),
-                analytic.delay_time_based(lam, policy.v, params.tw, w0),
-                t_off, policy.v, None)
-    if policy.kind == KIND_STATIC_SIZE:
-        t_off = analytic.toff_size_based(lam, policy.qw, params.ts)
-        return (analytic.energy_ratio(params, rho, t_off),
-                analytic.delay_size_based(lam, float(policy.qw), params.tw, w0),
-                t_off, None, float(policy.qw))
-    if policy.kind == KIND_STATIC_DUAL:
-        # no closed form for the combined wake rule
-        return None, None, None, None, None
-    if policy.kind == KIND_DYNAMIC_TIMER:
-        v = analytic.optimal_timer(tau, lam, params.tw, w0, params.ts)
-        if math.isnan(v):
-            return 1.0, None, 0.0, None, None  # suspended: no sleeping
-        t_off = analytic.toff_time_based(lam, v, params.ts)
-        return (analytic.energy_ratio(params, rho, t_off),
-                analytic.delay_time_based(lam, v, params.tw, w0),
-                t_off, v, None)
-    # dynamic size
-    if policy.solver == "cubic":
-        q = analytic.optimal_threshold_cubic(tau, lam, params.tw, w0)
-    else:
-        q = analytic.optimal_threshold_approx(tau, lam, params.tw, w0)
-    if math.isnan(q):
-        return 1.0, None, 0.0, None, None
-    qi = max(1, round(q))
-    t_off = analytic.toff_size_based(lam, qi, params.ts)
-    return (analytic.energy_ratio(params, rho, t_off),
-            analytic.delay_size_based(lam, float(qi), params.tw, w0),
-            t_off, None, q)
+        return (math.nan,) * 5
+    out, v, qw = predict(policy, stats, params)
+    return out.energy_ratio, out.mean_delay, out.t_off_mean, v, qw
 
 
 @dataclass(frozen=True)
@@ -334,27 +211,26 @@ class _Point:
     """One grid point; picklable payload for worker processes."""
 
     spec: ExperimentSpec
-    policy_spec: PolicySpec
+    policy: PolicyConfig
     rate_gbps: float | None
     tau: float | None
     index: int
 
 
-def _points(spec: ExperimentSpec, policy_spec: PolicySpec, start_index: int) -> list[_Point]:
+def _points(spec: ExperimentSpec, line: tuple[PolicyConfig, ...], start_index: int) -> list[_Point]:
     rates = list(spec.rates_gbps) if spec.trace is None else [None]
-    taus = list(spec.taus_us) if policy_spec.needs_tau else [None]
     pts = []
     idx = start_index
     for rate in rates:
-        for tau in taus:
-            pts.append(_Point(spec, policy_spec, rate, tau, idx))
+        for policy in line:
+            tau = policy.tau if policy.is_dynamic else None
+            pts.append(_Point(spec, policy, rate, tau, idx))
             idx += 1
     return pts
 
 
 def _run_sim(point: _Point):
     spec = point.spec
-    policy = point.policy_spec.build(point.tau)
     tspec = _traffic_for(spec, point.rate_gbps)
     seed = np.random.SeedSequence([spec.seed, point.index])
     kwargs = {}
@@ -364,7 +240,7 @@ def _run_sim(point: _Point):
         else:
             kwargs["n_frames"] = spec.horizon_frames or DEFAULT_HORIZON_FRAMES
     return simcore.run(
-        tspec, policy, spec.params,
+        tspec, point.policy, spec.params,
         seed=seed, warmup_cycles=spec.warmup_cycles, **kwargs,
     ), tspec
 
@@ -382,8 +258,7 @@ def _analytic_row(point: _Point) -> dict:
     row = _row_base(point)
     tspec = _traffic_for(spec, point.rate_gbps)
     stats = _stats_for(tspec, spec.params)
-    policy = point.policy_spec.build(point.tau)
-    phi, delay, toff, v, qw = _analytic_values(policy, point.tau, spec.params, stats)
+    phi, delay, toff, v, qw = _analytic_values(point.policy, spec.params, stats)
     row.update(phi_analytic=phi, delay_analytic_us=delay, toff_analytic_us=toff,
                mean_V_us=v, mean_Qw=qw)
     if stats is not None and point.tau is not None:
@@ -408,8 +283,7 @@ def _sim_row(point: _Point) -> dict:
     row = _row_base(point)
     report, tspec = _run_sim(point)
     stats = _stats_for(tspec, spec.params)
-    policy = point.policy_spec.build(point.tau)
-    phi, delay, toff, v, qw = _analytic_values(policy, point.tau, spec.params, stats)
+    phi, delay, toff, _, _ = _analytic_values(point.policy, spec.params, stats)
     row.update(phi_analytic=phi, delay_analytic_us=delay, toff_analytic_us=toff)
     row.update(
         phi_measured=report.measured_phi,
@@ -454,7 +328,7 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 
 def _cdf_filename(point: _Point) -> str:
-    label = point.policy_spec.label()
+    label = point.policy.label()
     rate = "trace" if point.rate_gbps is None else f"{point.rate_gbps:g}gbps"
     tau = "" if point.tau is None else f"_{point.tau:g}us"
     return f"cdf_{label}_{rate}{tau}.csv"
@@ -467,7 +341,7 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
 
     if spec.mode == "bound":
         rates = list(spec.rates_gbps) if spec.trace is None else [None]
-        pts = [_Point(spec, PolicySpec("none"), r, t, 0)
+        pts = [_Point(spec, PolicyConfig.none(), r, t, 0)
                for r in rates for t in spec.taus_us]
         path = spec.out_dir / "bound.csv"
         _write_csv(path, COLUMNS, [_bound_row(p) for p in pts])
@@ -477,10 +351,10 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
     # so per-point seeds stay stable
     index = 0
     groups = []
-    for pol in spec.policies:
-        pts = _points(spec, pol, index)
+    for line in spec.policies:
+        pts = _points(spec, line, index)
         index += len(pts)
-        groups.append((pol, pts))
+        groups.append((line[0], pts))
 
     if spec.mode == "analytic":
         for pol, pts in groups:
@@ -546,7 +420,7 @@ def main(argv=None) -> int:
         cfg = Config.load(args.config)
         spec = build_spec(args.mode, cfg, args)
         if spec.mode == "sim":
-            n_points = sum(len(_points(spec, pol, 0)) for pol in spec.policies)
+            n_points = sum(len(_points(spec, line, 0)) for line in spec.policies)
             if n_points > 1:
                 print(
                     f"note: sim mode with {n_points} grid points; "

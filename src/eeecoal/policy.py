@@ -13,24 +13,28 @@ service time are EWMA-smoothed, and the arrival/service rates are the ratios
 of the smoothed totals.  Cycles with fewer than two frames leave the
 estimate untouched.
 
-The scalar planning helpers take and return plain floats; the simulator
-kernel calls them directly, once per cycle.
+This module is the one place that knows the policy kinds: their config
+grammar (:meth:`PolicyConfig.parse`), the per-cycle planner and estimator the
+simulator kernel calls with plain floats, and the closed-form prediction of
+each policy (:func:`predict`).
 """
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .analytic import (
+    CoalescingOutcome,
     EeeParams,
+    TrafficStats,
     optimal_threshold_approx,
     optimal_threshold_cubic,
     optimal_timer,
+    size_based_outcome,
+    time_based_outcome,
+    w0_exact,
     w0_poisson_deterministic,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .simcore import CycleRecord
+from .config import ConfigError, parse_call
 
 # policy kind codes shared with the simulator kernel
 KIND_NONE = 0
@@ -40,7 +44,9 @@ KIND_STATIC_DUAL = 3
 KIND_DYNAMIC_TIMER = 4
 KIND_DYNAMIC_SIZE = 5
 
-# wake plan mode codes
+# Wake plan mode codes.  timer: wake V us after the first arrival of the
+# cycle; threshold: wake when Q_w frames are queued; dual: whichever comes
+# first; suspend: skip sleeping entirely this cycle.
 MODE_SUSPEND = 0
 MODE_TIMER = 1
 MODE_THRESHOLD = 2
@@ -64,9 +70,27 @@ RHO_CLAMP = 0.99
 DEFAULT_EWMA_WEIGHT = 0.15
 
 
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text} is not finite")
+    return x
+
+
+# config grammar: argument converters of each policy; dynamic_size instead
+# takes an optional solver name
+_ARGS = {
+    "none": (),
+    "static_timer": (_finite_float,),
+    "static_size": (int,),
+    "static_dual": (_finite_float, int),
+    "dynamic_timer": (),
+}
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
-    """One coalescing policy.  Use the classmethod constructors."""
+    """One coalescing policy.  Use the classmethod constructors or :meth:`parse`."""
 
     kind: int
     v: float = 0.0            # static timer, us
@@ -76,6 +100,8 @@ class PolicyConfig:
     ewma_weight: float = DEFAULT_EWMA_WEIGHT
 
     def __post_init__(self):
+        if not (math.isfinite(self.v) and math.isfinite(self.tau)):
+            raise ValueError("timer and delay target must be finite")
         if self.kind in (KIND_STATIC_TIMER, KIND_STATIC_DUAL) and self.v <= 0:
             raise ValueError("timer must be positive")
         if self.kind in (KIND_STATIC_SIZE, KIND_STATIC_DUAL) and self.qw < 1:
@@ -114,6 +140,38 @@ class PolicyConfig:
         return cls(kind=KIND_DYNAMIC_SIZE, tau=float(tau), solver=solver,
                    ewma_weight=ewma_weight)
 
+    @classmethod
+    def parse(cls, text: str, tau: float | None = None) -> "PolicyConfig":
+        """Build a policy from its config text, e.g. ``static_dual(24, 12)``.
+
+        Adaptive kinds take their delay target from ``tau``; the others
+        ignore it.  Any fault in the text raises :class:`ConfigError`.
+        """
+        name, args = parse_call(text, "policy")
+        if name == "dynamic_size":
+            if len(args) > 1:
+                raise ConfigError(f"policy {text!r}: at most one solver argument")
+            if args and args[0] not in ("approx", "cubic"):
+                raise ConfigError(f"policy {text!r}: solver must be approx or cubic")
+        elif name not in _ARGS:
+            raise ConfigError(f"policy: unknown variant {name!r}")
+        elif len(args) != len(_ARGS[name]):
+            raise ConfigError(
+                f"policy {text!r}: expected {len(_ARGS[name])} argument(s), got {len(args)}")
+        else:
+            try:
+                args = [convert(a) for convert, a in zip(_ARGS[name], args)]
+            except ValueError:
+                raise ConfigError(f"policy: bad arguments in {text!r}") from None
+        if name in ("dynamic_timer", "dynamic_size"):
+            if tau is None:
+                raise ConfigError("tau_us: adaptive policies need at least one target delay")
+            args = [tau, *args]
+        try:
+            return getattr(cls, name)(*args)
+        except ValueError as exc:
+            raise ConfigError(f"policy {text!r}: {exc}") from None
+
     @property
     def is_dynamic(self) -> bool:
         return self.kind in (KIND_DYNAMIC_TIMER, KIND_DYNAMIC_SIZE)
@@ -140,84 +198,29 @@ class PolicyConfig:
             )
 
 
-@dataclass(frozen=True)
-class TrafficEstimate:
-    """Smoothed traffic rates; invalid until enough data arrives.
-
-    Rates are ratios of EWMA-smoothed cycle totals (frames, elapsed time,
-    service time), not EWMAs of per-cycle ratios: with only a handful of
-    frames per cycle the raw ratio is badly biased upward, the ratio of the
-    smoothed totals is not.  The totals ride along so updates can continue.
-    """
-
-    lambda_hat: float = 0.0
-    mu_hat: float = 0.0
-    valid: bool = False
-    frames_s: float = 0.0     # smoothed frames per cycle
-    duration_s: float = 0.0   # smoothed cycle duration, us
-    service_s: float = 0.0    # smoothed per-cycle service time, us
-
-    @classmethod
-    def from_rates(cls, lambda_hat: float, mu_hat: float) -> "TrafficEstimate":
-        """Estimate pinned to given rates (unit smoothed-frame bookkeeping)."""
-        if lambda_hat <= 0 or mu_hat <= 0:
-            raise ValueError("rates must be positive")
-        return cls(lambda_hat=lambda_hat, mu_hat=mu_hat, valid=True,
-                   frames_s=1.0, duration_s=1.0 / lambda_hat, service_s=1.0 / mu_hat)
-
-
-@dataclass(frozen=True)
-class WakePlan:
-    """The wake-up rule for one coalescing cycle.
-
-    mode 'timer': wake tv us after the first arrival of the cycle;
-    'threshold': wake when qw frames are queued; 'dual': whichever first;
-    'suspend': skip sleeping entirely this cycle.
-    """
-
-    mode: str
-    timer_us: float = 0.0
-    threshold: int = 0
-
-
 # --------------------------------------------------------------------------
-# scalar cores (shared with the simulator kernel)
+# per-cycle planning and estimation (called by the simulator kernel)
 # --------------------------------------------------------------------------
 
-def _plan_dynamic_timer(tau, lam_hat, mu_hat, ts, tw):
-    """Timer for target tau from estimated rates; nan when infeasible."""
-    if lam_hat <= 0.0 or mu_hat <= 0.0:
-        return math.nan
-    rho = lam_hat / mu_hat
-    if rho > RHO_CLAMP:
-        rho = RHO_CLAMP
-    w0 = w0_poisson_deterministic(lam_hat, rho)
-    return optimal_timer(tau, lam_hat, tw, w0, ts)
-
-
-def _plan_dynamic_size(tau, lam_hat, mu_hat, tw, use_cubic):
-    """Integer threshold for target tau; nan when infeasible."""
-    if lam_hat <= 0.0 or mu_hat <= 0.0:
-        return math.nan
-    rho = lam_hat / mu_hat
-    if rho > RHO_CLAMP:
-        rho = RHO_CLAMP
-    w0 = w0_poisson_deterministic(lam_hat, rho)
+def _solve_threshold(tau, lam, tw, w0, use_cubic):
+    """Fractional threshold whose predicted delay is tau; nan when infeasible."""
     if use_cubic:
-        q = optimal_threshold_cubic(tau, lam_hat, tw, w0)
-    else:
-        q = optimal_threshold_approx(tau, lam_hat, tw, w0)
-    if math.isnan(q) or q < 1.0:
-        return math.nan
-    qi = math.floor(q + 0.5)
-    if qi < 1.0:
-        qi = 1.0
-    return qi
+        return optimal_threshold_cubic(tau, lam, tw, w0)
+    return optimal_threshold_approx(tau, lam, tw, w0)
+
+
+def _round_threshold(q):
+    """The integer threshold planned for a solved q >= 1 (halves round up)."""
+    return math.floor(q + 0.5)
 
 
 def _plan_scalar(kind, v_static, qw_static, tau, use_cubic, lam_hat, mu_hat,
                  est_valid, ts, tw):
-    """Plan one cycle; returns (mode, timer_us, threshold)."""
+    """Plan one cycle; returns (mode, timer_us, threshold).
+
+    Adaptive kinds solve for tau at the estimated rates, and suspend without
+    a valid estimate or when the target is out of reach.
+    """
     if kind == 0:                       # none: wake on first arrival
         return 2, 0.0, 1.0
     if kind == 1:
@@ -226,17 +229,18 @@ def _plan_scalar(kind, v_static, qw_static, tau, use_cubic, lam_hat, mu_hat,
         return 2, 0.0, qw_static
     if kind == 3:
         return 3, v_static, qw_static
-    if not est_valid:
+    if not est_valid or lam_hat <= 0.0 or mu_hat <= 0.0:
         return 0, 0.0, 0.0
+    w0 = w0_poisson_deterministic(lam_hat, min(lam_hat / mu_hat, RHO_CLAMP))
     if kind == 4:
-        v = _plan_dynamic_timer(tau, lam_hat, mu_hat, ts, tw)
+        v = optimal_timer(tau, lam_hat, tw, w0, ts)
         if math.isnan(v):
             return 0, 0.0, 0.0
         return 1, v, 0.0
-    q = _plan_dynamic_size(tau, lam_hat, mu_hat, tw, use_cubic)
-    if math.isnan(q):
+    q = _solve_threshold(tau, lam_hat, tw, w0, use_cubic)
+    if math.isnan(q) or q < 1.0:
         return 0, 0.0, 0.0
-    return 2, 0.0, q
+    return 2, 0.0, _round_threshold(q)
 
 
 def _estimate_update(frames_s, duration_s, service_s, valid_prev, n_frames,
@@ -244,7 +248,10 @@ def _estimate_update(frames_s, duration_s, service_s, valid_prev, n_frames,
     """Fold one finished cycle into the smoothed totals.
 
     Returns (frames_s, duration_s, service_s, valid); rates are the ratios
-    frames_s/duration_s and frames_s/service_s.
+    frames_s/duration_s and frames_s/service_s.  They are ratios of smoothed
+    totals, not EWMAs of per-cycle ratios: with only a handful of frames per
+    cycle the raw ratio is badly biased upward, the ratio of the smoothed
+    totals is not.
     """
     if n_frames < 2.0 or duration <= 0.0 or svc_total <= 0.0:
         return frames_s, duration_s, service_s, valid_prev
@@ -259,56 +266,36 @@ def _estimate_update(frames_s, duration_s, service_s, valid_prev, n_frames,
 
 
 # --------------------------------------------------------------------------
-# object-level API
+# closed-form prediction
 # --------------------------------------------------------------------------
 
-def plan_cycle(config: PolicyConfig, estimate: TrafficEstimate,
-               params: EeeParams) -> WakePlan:
-    """Decide the wake-up rule for the coalescing cycle that starts now."""
-    config.validate_against(params)
-    mode, v, qw = _plan_scalar(
-        config.kind,
-        float(config.v),
-        float(config.qw),
-        float(config.tau),
-        config.solver == "cubic",
-        estimate.lambda_hat,
-        estimate.mu_hat,
-        estimate.valid,
-        params.ts,
-        params.tw,
-    )
-    return WakePlan(mode=MODE_NAMES[mode], timer_us=float(v), threshold=int(qw))
+def predict(config: PolicyConfig, stats: TrafficStats,
+            params: EeeParams) -> tuple[CoalescingOutcome, float, float]:
+    """Closed-form outcome of a policy, with the timer V and threshold Q_w it uses.
 
-
-def update_estimate(previous: TrafficEstimate, cycle: "CycleRecord",
-                    params: EeeParams,
-                    weight: float = DEFAULT_EWMA_WEIGHT) -> TrafficEstimate:
-    """Blend the just-finished cycle's observations into the estimate.
-
-    Cycles with fewer than two frames carry no usable rate information and
-    leave the estimate untouched.
+    Adaptive policies are solved at the true rates: V is the solved timer,
+    Q_w the unrounded threshold, and the outcome is that of the threshold
+    the controller rounds it to.  An infeasible target predicts a link that
+    never sleeps.  nan marks a value with no closed form, including every
+    value of a dual policy.
     """
-    if cycle.frames_total < 2:
-        return previous
-    svc_total = cycle.bytes_total * 8.0 / params.rate_bits_per_us
-    frames_s, duration_s, service_s, valid = _estimate_update(
-        previous.frames_s,
-        previous.duration_s,
-        previous.service_s,
-        previous.valid,
-        float(cycle.frames_total),
-        float(cycle.cycle_duration),
-        svc_total,
-        weight,
-    )
-    if not valid:
-        return previous
-    return TrafficEstimate(
-        lambda_hat=frames_s / duration_s,
-        mu_hat=frames_s / service_s,
-        valid=True,
-        frames_s=float(frames_s),
-        duration_s=float(duration_s),
-        service_s=float(service_s),
-    )
+    nan = math.nan
+    if config.kind == KIND_NONE:
+        return size_based_outcome(params, stats, 1), nan, nan
+    if config.kind == KIND_STATIC_TIMER:
+        return time_based_outcome(params, stats, config.v), config.v, nan
+    if config.kind == KIND_STATIC_SIZE:
+        return size_based_outcome(params, stats, config.qw), nan, float(config.qw)
+    if config.kind == KIND_STATIC_DUAL:
+        # no closed form for the combined wake rule
+        return CoalescingOutcome(nan, nan, nan), nan, nan
+    w0 = w0_exact(stats)
+    if config.kind == KIND_DYNAMIC_TIMER:
+        v = optimal_timer(config.tau, stats.lam, params.tw, w0, params.ts)
+        if not math.isnan(v):
+            return time_based_outcome(params, stats, v), v, nan
+    else:
+        q = _solve_threshold(config.tau, stats.lam, params.tw, w0, config.solver == "cubic")
+        if not math.isnan(q):
+            return size_based_outcome(params, stats, _round_threshold(q)), nan, q
+    return CoalescingOutcome(t_off_mean=0.0, mean_delay=nan, energy_ratio=1.0), nan, nan

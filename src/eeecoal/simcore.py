@@ -17,7 +17,6 @@ Per-frame queuing delays (service start minus arrival) are recorded exactly;
 aggregates skip a warm-up prefix of cycles.
 """
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -33,13 +32,6 @@ from .policy import (
 from .traffic import TrafficSpec, sample_frames, sample_frames_until
 
 DEFAULT_WARMUP_CYCLES = 100
-
-
-class InterfaceState(enum.Enum):
-    ACTIVE = "active"
-    GOING_TO_SLEEP = "going_to_sleep"
-    LPI = "lpi"
-    WAKING = "waking"
 
 
 # summary vector slots filled by the kernel

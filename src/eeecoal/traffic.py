@@ -7,10 +7,10 @@ independently of arrivals.  Traces are plain CSV files of
 ignored) so any capture format can be converted with a one-liner.
 
 Generation is deterministic per seed.  Arrival and size draws come from two
-independent child generators of the run seed, so the streaming API and the
-vectorized array API produce identical frame sequences.
+independent child generators of the run seed.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,20 +23,14 @@ ETH_MAX_FRAME = 1518
 
 
 @dataclass(frozen=True)
-class Frame:
-    arrival_time: float  # us
-    size: int            # bytes
-
-
-@dataclass(frozen=True)
 class Poisson:
     """Exponential interarrivals with mean 1/lam (lam in frames/us)."""
 
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("arrival rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -53,10 +47,10 @@ class Pareto:
     lam: float
 
     def __post_init__(self):
-        if self.alpha <= 2:
-            raise ValueError("Pareto shape alpha must be > 2 for finite variance")
-        if self.lam <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not 2 < self.alpha < math.inf:
+            raise ValueError("Pareto shape alpha must be finite and > 2 for finite variance")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("arrival rate must be positive and finite")
 
     @property
     def x_m(self) -> float:
@@ -129,15 +123,10 @@ class Trace:
 
     times: np.ndarray
     sizes: np.ndarray
-    path: str | None = None
 
     @property
     def n_frames(self) -> int:
         return len(self.times)
-
-    @property
-    def total_bytes(self) -> int:
-        return int(self.sizes.sum())
 
     @property
     def mean_rate_bps(self) -> float:
@@ -149,12 +138,6 @@ class Trace:
             return 0.0
         lam = (self.n_frames - 1) / span            # frames/us
         return lam * 8.0 * float(self.sizes.mean()) * 1e6
-
-    def summary(self) -> str:
-        return (
-            f"{self.n_frames} frames, {self.total_bytes} bytes, "
-            f"mean rate {self.mean_rate_bps / 1e9:.4g} Gb/s"
-        )
 
 
 def _data_lines(path):
@@ -206,7 +189,7 @@ def load_trace(path: str | Path) -> Trace:
     t_arr = np.asarray(times, dtype=np.float64)
     s_arr = np.asarray(sizes, dtype=np.float64)
     _check_finite(path, t_arr, s_arr)
-    return Trace(times=t_arr, sizes=s_arr, path=str(path))
+    return Trace(times=t_arr, sizes=s_arr)
 
 
 def _check_finite(path, times, sizes) -> None:
@@ -284,49 +267,6 @@ def sample_frames_until(spec: TrafficSpec, horizon_us: float, seed) -> tuple[np.
     times = np.cumsum(np.concatenate(parts))
     k = int(np.searchsorted(times, horizon_us, side="right"))
     return times[:k], _draw_sizes(spec.sizes, rng_s, k)
-
-
-class FrameStream:
-    """Sequential frame source over a spec; iteration yields :class:`Frame`.
-
-    Generated streams are infinite; trace streams raise StopIteration when
-    the file is exhausted.
-    """
-
-    def __init__(self, spec: TrafficSpec, seed=0):
-        self.spec = spec
-        self._t = 0.0
-        if spec.is_trace:
-            self._trace = load_trace(spec.trace)
-            self._idx = 0
-        else:
-            self._trace = None
-            self._rng_a, self._rng_s = _child_rngs(seed)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> Frame:
-        return self.next_frame()
-
-    def next_frame(self) -> Frame:
-        if self._trace is not None:
-            if self._idx >= self._trace.n_frames:
-                raise StopIteration
-            f = Frame(float(self._trace.times[self._idx]), int(self._trace.sizes[self._idx]))
-            self._idx += 1
-            return f
-        self._t += float(_draw_interarrivals(self.spec.arrival, self._rng_a, 1)[0])
-        size = int(_draw_sizes(self.spec.sizes, self._rng_s, 1)[0])
-        return Frame(self._t, size)
-
-
-def open_stream(spec: TrafficSpec, seed=0) -> FrameStream:
-    return FrameStream(spec, seed)
-
-
-def next_frame(stream: FrameStream) -> Frame:
-    return stream.next_frame()
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from eeecoal import (
     PolicyConfig,
     TrafficSpec,
     analytic,
+    predict,
     run,
     theoretical_stats,
 )
@@ -122,13 +123,10 @@ def test_criterion_2_analytic_round_trip(capsys):
 def test_criterion_3_static_sim_vs_model(capsys, static_grid):
     failures = []
     for rate in range(1, 10):
-        lam = rate * 1000.0 / 12000.0
         stats = static_grid[("tb", rate)]["stats"]
-        w0 = analytic.w0_exact(stats)
         tb = static_grid[("tb", rate)]
-        d_m = analytic.delay_time_based(lam, 24.0, TW, w0)
-        t_m = analytic.toff_time_based(lam, 24.0, TS)
-        phi_m = analytic.energy_ratio(PARAMS, stats.rho, t_m)
+        model, _, _ = predict(PolicyConfig.static_timer(24.0), stats, PARAMS)
+        d_m, t_m, phi_m = model.mean_delay, model.t_off_mean, model.energy_ratio
         if abs(tb["delay"] / d_m - 1) > 0.03:
             failures.append(f"tb delay r{rate} {tb['delay'] / d_m - 1:+.2%}")
         if abs(tb["toff"] / t_m - 1) > 0.02:
@@ -136,8 +134,8 @@ def test_criterion_3_static_sim_vs_model(capsys, static_grid):
         if abs(tb["phi"] / phi_m - 1) > 0.02:
             failures.append(f"tb phi r{rate} {tb['phi'] / phi_m - 1:+.2%}")
         sb = static_grid[("sb", rate)]
-        d_m = analytic.delay_size_based(lam, 12.0, TW, w0)
-        t_m = analytic.toff_size_based(lam, 12, TS)
+        model, _, _ = predict(PolicyConfig.static_size(12), stats, PARAMS)
+        d_m, t_m = model.mean_delay, model.t_off_mean
         if abs(sb["delay"] / d_m - 1) > 0.03:
             failures.append(f"sb delay r{rate} {sb['delay'] / d_m - 1:+.2%}")
         if abs(sb["toff"] / t_m - 1) > 0.02:

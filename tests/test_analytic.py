@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from eeecoal import EeeParams, TrafficStats, analytic
 from eeecoal.analytic import (
-    delay_energy_bound,
     delay_size_based,
-    delay_size_based_approx,
     delay_time_based,
     energy_lower_bound,
     energy_ratio,
@@ -230,20 +228,6 @@ class TestSizeBased:
                 delay_time_based(lam, 0.0, TW, w0), rel=1e-12
             )
 
-    def test_approx_delay_reference(self):
-        assert delay_size_based_approx(LAM_5G, 12.0, TW, W0_5G) == pytest.approx(16.04, abs=1e-9)
-
-    def test_approx_matches_exact_for_large_thresholds(self):
-        for lam in np.linspace(0.08, 0.75, 8):
-            w0 = w0_poisson_deterministic(lam, lam * 1.2)
-            for qw in (10, 16, 30, 52):
-                exact = delay_size_based(lam, float(qw), TW, w0)
-                approx = delay_size_based_approx(lam, float(qw), TW, w0)
-                assert abs(approx / exact - 1.0) < 0.02
-
-    def test_approx_floor(self):
-        # qw = 3 with lam*tw = 0 collapses onto the baseline term
-        assert delay_size_based_approx(0.3, 3.0, 0.0, 7.7) == pytest.approx(7.7, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -410,12 +394,6 @@ class TestBounds:
         stats = TrafficStats(lam=5.0, mu=10.0, var_interarrival=0.0, var_service=0.0)
         assert math.isnan(toff_upper_bound(0.01, params, stats))
         assert energy_lower_bound(0.01, params, stats) == 1.0
-
-    def test_bundle(self, params):
-        stats = stats_poisson_fixed(LAM_5G, MU_10G_1500B)
-        b = delay_energy_bound(16.0, params, stats)
-        assert b.t_off_upper == toff_upper_bound(16.0, params, stats)
-        assert b.energy_lower == energy_lower_bound(16.0, params, stats)
 
     def test_dominates_optimal_timer_sleep_everywhere(self, params):
         # the bound sits above the timer controller's sleep time on the

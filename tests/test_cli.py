@@ -1,10 +1,20 @@
+import contextlib
 import csv
+import io
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eeecoal.cli import main, parse_policy, COLUMNS
+from eeecoal import EeeParams, FixedSize, Poisson, PolicyConfig, TrafficSpec, theoretical_stats
+from eeecoal.analytic import size_based_outcome
+from eeecoal.cli import ALLOWED_KEYS, main, COLUMNS
 from eeecoal.config import Config, ConfigError, parse_config
+from eeecoal.policy import KIND_DYNAMIC_SIZE, _plan_scalar
 
 
 def write_cfg(path, text):
@@ -84,15 +94,25 @@ class TestPolicyGrammar:
         ("dynamic_size(cubic)", "dynamic_size_cubic"),
     ])
     def test_roundtrip(self, text, label):
-        assert parse_policy(text).label() == label
+        assert PolicyConfig.parse(text, 16.0).label() == label
 
     @pytest.mark.parametrize("bad", [
         "static_timer", "static_timer(a)", "static_dual(24)", "mystery",
-        "dynamic_size(newton)", "none(1)",
+        "dynamic_size(newton)", "none(1)", "static_timer(nan)", "static_dual(inf, 12)",
+        "static_timer(-24)",
     ])
     def test_rejects_bad_policies(self, bad):
         with pytest.raises(ConfigError):
-            parse_policy(bad)
+            PolicyConfig.parse(bad, 16.0)
+
+    def test_adaptive_policy_takes_tau(self):
+        assert PolicyConfig.parse("dynamic_size(cubic)", 32.0) == PolicyConfig.dynamic_size(
+            32.0, solver="cubic")
+        assert PolicyConfig.parse("static_size(12)") == PolicyConfig.static_size(12)
+        with pytest.raises(ConfigError, match="tau_us"):
+            PolicyConfig.parse("dynamic_timer")
+        with pytest.raises(ConfigError):
+            PolicyConfig.parse("dynamic_timer", math.nan)
 
 
 class TestAnalyticMode:
@@ -112,6 +132,30 @@ class TestAnalyticMode:
         # static policies get one row per rate, no tau
         rows = read_rows(out / "analytic_static_timer_24.csv")
         assert [r["tau_us"] for r in rows] == ["", ""]
+
+    def test_threshold_rounds_as_the_controller_plans(self, tmp_path):
+        # the approximate solver gives q = 2.5 here: the predicted delay is
+        # that of the threshold the controller plans, and mean_Qw stays q
+        tau = 20.27157894736842
+        cfg = write_cfg(tmp_path / "e.cfg", f"""\
+arrival = poisson
+sizes = fixed(1500)
+rate_gbps = 0.5
+tau_us = {tau!r}
+policy = dynamic_size
+""")
+        out = tmp_path / "out"
+        assert main(["analytic", "--config", cfg, "--out", str(out)]) == 0
+        row = read_rows(out / "analytic_dynamic_size_approx.csv")[0]
+        assert float(row["mean_Qw"]) == 2.5
+        params = EeeParams()
+        stats = theoretical_stats(
+            TrafficSpec(arrival=Poisson(0.5e3 / 12000.0), sizes=FixedSize(1500)), params.line_rate)
+        _, _, qw = _plan_scalar(KIND_DYNAMIC_SIZE, 0.0, 0.0, tau, False, stats.lam, stats.mu,
+                                True, params.ts, params.tw)
+        assert qw == 3
+        assert float(row["delay_analytic_us"]) == pytest.approx(
+            size_based_outcome(params, stats, qw).mean_delay, rel=1e-9)
 
     def test_bound_mode(self, tmp_path):
         cfg = write_cfg(tmp_path / "e.cfg", BASE_CFG)
@@ -260,6 +304,28 @@ class TestErrorHandling:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "line 2: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, named", [
+        ("policy = static_timer(nan)", "static_timer(nan)"),
+        ("policy = static_timer(inf)", "static_timer(inf)"),
+        ("ts_us = nan", "ts_us"),
+        ("tau_us = nan", "tau_us"),
+        ("rate_gbps = inf", "rate_gbps"),
+    ], ids=["timer-nan", "timer-inf", "ts-nan", "tau-nan", "rate-inf"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, line, named):
+        cfg = write_cfg(tmp_path / "e.cfg", f"""\
+arrival = poisson
+sizes = fixed(1500)
+rate_gbps = 5
+tau_us = 16
+policy = dynamic_timer
+horizon_frames = 2000
+{line}
+""")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
     def test_unwritable_output(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "e.cfg", BASE_CFG)
         blocker = tmp_path / "blocker"
@@ -278,3 +344,103 @@ horizon_frames = 5000
 """)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert "expect overload" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# fuzzing the config and policy grammar
+# --------------------------------------------------------------------------
+
+KIND_NAMES = ["none", "static_timer", "static_size", "static_dual", "dynamic_timer",
+              "dynamic_size"]
+# text that may or may not be a number
+NUMBERISH = st.one_of(
+    st.floats().map(repr), st.integers(-10, 10**6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "0x10", "approx", "cubic", ""]),
+    st.text(max_size=5),
+)
+POLICY_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.sampled_from(KIND_NAMES + ["mystery"]),
+    st.builds(lambda name, args: f"{name}({', '.join(args)})",
+              st.sampled_from(KIND_NAMES + ["mystery"]), st.lists(NUMBERISH, max_size=3)),
+)
+# one line that makes FUZZ_BASE_CFG invalid
+BAD_LINE = st.one_of(
+    st.text(st.characters(blacklist_characters="=\n\r#", blacklist_categories=("Cs",)),
+            min_size=1).filter(lambda t: t.strip() and t.strip() == t.strip().splitlines()[0]),
+    st.sampled_from(["rate_gbps =", "= 5", "seed = 2", "frobnicate = 1"]),
+    st.builds("{} = {}".format, st.sampled_from(["rate_gbps", "tau_us", "ts_us", "phi_off"]),
+              st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999", "abc", "5 Gb/s", "0x10"])),
+    POLICY_TEXT.filter(lambda t: t.strip() and "\n" not in t and "\r" not in t)
+    .map(lambda t: f"policy = {t}"),
+)
+FUZZ_BASE_CFG = """\
+arrival = poisson
+sizes = fixed(1500)
+rate_gbps = 5
+tau_us = 16
+policy = static_size(12)
+horizon_frames = 500
+seed = 1
+"""
+
+
+def _rejects(text: str) -> bool:
+    try:
+        PolicyConfig.parse(text, 16.0)
+    except ConfigError:
+        return True
+    return False
+
+
+class TestGrammarFuzz:
+    @given(text=POLICY_TEXT, tau=st.one_of(st.none(), st.floats()))
+    @settings(max_examples=400, deadline=None)
+    def test_policy_parses_to_its_kind_or_config_error(self, text, tau):
+        try:
+            cfg = PolicyConfig.parse(text, tau)
+        except ConfigError:
+            return
+        name = KIND_NAMES[cfg.kind]
+        assert text.strip().partition("(")[0].strip() == name
+        assert cfg.label().startswith(name)
+        assert math.isfinite(cfg.v) and math.isfinite(cfg.tau)
+
+    @given(lines=st.lists(st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+        st.builds("{} = {}".format, st.sampled_from(sorted(ALLOWED_KEYS)), NUMBERISH),
+    ), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_config_file_loads_or_config_error(self, lines):
+        text = "\n".join(lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.cfg"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                cfg = Config.load(path)
+                for key in cfg.pairs:
+                    for get in (cfg.get_float_list, cfg.get_float, cfg.get_int):
+                        with contextlib.suppress(ConfigError):
+                            values = get(key)
+                            assert all(map(math.isfinite, np.atleast_1d(values)))
+            except ConfigError:
+                pass
+
+    @given(bad=BAD_LINE)
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_on_bad_file_exits_2_without_csv(self, bad):
+        if bad.startswith("policy = "):
+            policy = bad.removeprefix("policy = ")
+            if not _rejects(policy):
+                return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.cfg"
+            path.write_text(FUZZ_BASE_CFG + bad + "\n", encoding="utf-8")
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["sweep", "--config", str(path), "--out", str(out)])
+            assert code == 2, bad
+            assert err.getvalue().startswith("error:")
+            assert "Traceback" not in err.getvalue()
+            assert not list(out.glob("*.csv"))

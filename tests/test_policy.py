@@ -1,81 +1,93 @@
 import pytest
 
-from eeecoal import PolicyConfig, TrafficEstimate, plan_cycle, update_estimate
-from eeecoal.simcore import CycleRecord
+from eeecoal import PolicyConfig
+from eeecoal.policy import DEFAULT_EWMA_WEIGHT, MODE_NAMES, _estimate_update, _plan_scalar
 
-EST_5G = TrafficEstimate.from_rates(0.4166667, 0.8333333)
-INVALID = TrafficEstimate()
+# planner inputs (lambda_hat, mu_hat, valid) as the simulator kernel passes them
+EST_5G = (0.4166667, 0.8333333, True)
+INVALID = (0.0, 0.0, False)
+
+# estimator state (frames_s, duration_s, service_s, valid)
+STATE_5G = (1.0, 1.0 / 0.4166667, 1.0 / 0.8333333, True)
+NO_STATE = (0.0, 0.0, 0.0, False)
 
 
-def make_cycle(frames, duration, bytes_total):
-    return CycleRecord(
-        sleep_start=0.0, t_e=1.0, w_f=1.0, t_off=1.0,
-        frames_while_asleep=frames, frames_total=frames,
-        bytes_total=bytes_total, cycle_duration=duration,
-        planned_mode="timer", planned_v=24.0, planned_qw=0,
-        lambda_hat=0.4, mu_hat=0.8,
-    )
+def plan(config, est, params):
+    """Plan one cycle as the simulator kernel does; returns (mode name, V, Q_w)."""
+    mode, v, qw = _plan_scalar(config.kind, float(config.v), float(config.qw),
+                               float(config.tau), config.solver == "cubic", *est,
+                               params.ts, params.tw)
+    return MODE_NAMES[mode], v, qw
+
+
+def update(state, frames, duration, bytes_total, params, weight=DEFAULT_EWMA_WEIGHT):
+    """Fold one finished cycle into the estimator state, as the kernel does."""
+    return _estimate_update(*state, float(frames), duration,
+                            bytes_total * 8.0 / params.rate_bits_per_us, weight)
+
+
+def rates(state):
+    frames_s, duration_s, service_s, _ = state
+    return frames_s / duration_s, frames_s / service_s
 
 
 class TestPlanCycle:
     def test_static_variants_ignore_estimate(self, params):
         for est in (EST_5G, INVALID):
-            p = plan_cycle(PolicyConfig.static_timer(24.0), est, params)
-            assert (p.mode, p.timer_us) == ("timer", 24.0)
-            p = plan_cycle(PolicyConfig.static_size(12), est, params)
-            assert (p.mode, p.threshold) == ("threshold", 12)
-            p = plan_cycle(PolicyConfig.static_dual(24.0, 12), est, params)
-            assert (p.mode, p.timer_us, p.threshold) == ("dual", 24.0, 12)
+            mode, v, _ = plan(PolicyConfig.static_timer(24.0), est, params)
+            assert (mode, v) == ("timer", 24.0)
+            mode, _, qw = plan(PolicyConfig.static_size(12), est, params)
+            assert (mode, qw) == ("threshold", 12)
+            assert plan(PolicyConfig.static_dual(24.0, 12), est, params) == ("dual", 24.0, 12)
 
     def test_none_wakes_on_first_arrival(self, params):
-        p = plan_cycle(PolicyConfig.none(), INVALID, params)
-        assert (p.mode, p.threshold) == ("threshold", 1)
+        mode, _, qw = plan(PolicyConfig.none(), INVALID, params)
+        assert (mode, qw) == ("threshold", 1)
 
     def test_dynamic_timer_reference_point(self, params):
-        p = plan_cycle(PolicyConfig.dynamic_timer(16.0), EST_5G, params)
-        assert p.mode == "timer"
-        assert p.timer_us == pytest.approx(24.1, abs=0.05)
-        assert p.timer_us > params.ts
+        mode, v, _ = plan(PolicyConfig.dynamic_timer(16.0), EST_5G, params)
+        assert mode == "timer"
+        assert v == pytest.approx(24.1, abs=0.05)
+        assert v > params.ts
 
     def test_dynamic_size_reference_point(self, params):
-        p = plan_cycle(PolicyConfig.dynamic_size(64.0), EST_5G, params)
-        assert (p.mode, p.threshold) == ("threshold", 52)
-        p = plan_cycle(PolicyConfig.dynamic_size(64.0, solver="cubic"), EST_5G, params)
-        assert (p.mode, p.threshold) == ("threshold", 52)
+        mode, _, qw = plan(PolicyConfig.dynamic_size(64.0), EST_5G, params)
+        assert (mode, qw) == ("threshold", 52)
+        mode, _, qw = plan(PolicyConfig.dynamic_size(64.0, solver="cubic"), EST_5G, params)
+        assert (mode, qw) == ("threshold", 52)
 
     def test_dynamic_suspends_under_overload(self, params):
         # estimated utilization 0.97: the baseline delay alone exceeds 16 us
-        est = TrafficEstimate.from_rates(0.8083, 0.8083 / 0.97)
-        assert plan_cycle(PolicyConfig.dynamic_timer(16.0), est, params).mode == "suspend"
-        assert plan_cycle(PolicyConfig.dynamic_size(16.0), est, params).mode == "suspend"
+        est = (0.8083, 0.8083 / 0.97, True)
+        assert plan(PolicyConfig.dynamic_timer(16.0), est, params)[0] == "suspend"
+        assert plan(PolicyConfig.dynamic_size(16.0), est, params)[0] == "suspend"
 
     def test_dynamic_suspends_without_estimate(self, params):
-        assert plan_cycle(PolicyConfig.dynamic_timer(16.0), INVALID, params).mode == "suspend"
-        assert plan_cycle(PolicyConfig.dynamic_size(16.0), INVALID, params).mode == "suspend"
+        assert plan(PolicyConfig.dynamic_timer(16.0), INVALID, params)[0] == "suspend"
+        assert plan(PolicyConfig.dynamic_size(16.0), INVALID, params)[0] == "suspend"
 
     def test_threshold_is_integer_at_least_one(self, params):
         # a tight but feasible target rounds down to the minimum threshold
-        est = TrafficEstimate.from_rates(0.05, 0.8333333)
-        p = plan_cycle(PolicyConfig.dynamic_size(22.0), est, params)
-        assert p.mode == "threshold"
-        assert isinstance(p.threshold, int)
-        assert p.threshold >= 1
+        mode, _, qw = plan(PolicyConfig.dynamic_size(22.0), (0.05, 0.8333333, True), params)
+        assert mode == "threshold"
+        assert qw == int(qw)
+        assert qw >= 1
 
     def test_monotone_in_target(self, params):
         vs, qs = [], []
         for tau in (16.0, 32.0, 64.0, 128.0):
-            vs.append(plan_cycle(PolicyConfig.dynamic_timer(tau), EST_5G, params).timer_us)
-            qs.append(plan_cycle(PolicyConfig.dynamic_size(tau), EST_5G, params).threshold)
+            vs.append(plan(PolicyConfig.dynamic_timer(tau), EST_5G, params)[1])
+            qs.append(plan(PolicyConfig.dynamic_size(tau), EST_5G, params)[2])
         assert vs == sorted(vs) and len(set(vs)) == len(vs)
         assert qs == sorted(qs) and len(set(qs)) == len(qs)
 
     def test_plan_is_pure(self, params):
         cfg = PolicyConfig.dynamic_timer(32.0)
-        assert plan_cycle(cfg, EST_5G, params) == plan_cycle(cfg, EST_5G, params)
+        assert plan(cfg, EST_5G, params) == plan(cfg, EST_5G, params)
 
     def test_static_timer_must_exceed_sleep_transition(self, params):
         with pytest.raises(ValueError):
-            plan_cycle(PolicyConfig.static_timer(2.0), EST_5G, params)
+            PolicyConfig.static_timer(2.0).validate_against(params)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -93,41 +105,30 @@ class TestPlanCycle:
 class TestUpdateEstimate:
     def test_first_cycle_sets_rates(self, params):
         # 10 frames of 1500 B over 24 us on a 10 Gb/s line
-        est = update_estimate(INVALID, make_cycle(10, 24.0, 15000.0), params)
-        assert est.valid
-        assert est.lambda_hat == pytest.approx(0.4167, abs=1e-4)
-        assert est.mu_hat == pytest.approx(0.8333, abs=1e-4)
+        state = update(NO_STATE, 10, 24.0, 15000.0, params)
+        assert state[3]
+        lam, mu = rates(state)
+        assert lam == pytest.approx(0.4167, abs=1e-4)
+        assert mu == pytest.approx(0.8333, abs=1e-4)
 
     def test_single_frame_cycle_is_ignored(self, params):
-        est = update_estimate(EST_5G, make_cycle(1, 24.0, 1500.0), params)
-        assert est is EST_5G
-        est = update_estimate(INVALID, make_cycle(1, 24.0, 1500.0), params)
-        assert est is INVALID
+        assert update(STATE_5G, 1, 24.0, 1500.0, params) == STATE_5G
+        assert update(NO_STATE, 1, 24.0, 1500.0, params) == NO_STATE
 
     def test_equal_duration_cycles_blend_like_rate_ewma(self, params):
         # two cycles of identical duration: the smoothed-totals ratio reduces
         # to the plain EWMA of the rates, 0.4 and 0.6 -> 0.5 at weight 1/2
-        first = update_estimate(INVALID, make_cycle(8, 20.0, 8 * 1500.0), params)
-        assert first.lambda_hat == pytest.approx(0.4, rel=1e-12)
-        second = update_estimate(first, make_cycle(12, 20.0, 12 * 1500.0), params,
-                                 weight=0.5)
-        assert second.lambda_hat == pytest.approx(0.5, rel=1e-12)
+        first = update(NO_STATE, 8, 20.0, 8 * 1500.0, params)
+        assert rates(first)[0] == pytest.approx(0.4, rel=1e-12)
+        second = update(first, 12, 20.0, 12 * 1500.0, params, weight=0.5)
+        assert rates(second)[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_smoothing_weight_bounds_change(self, params):
-        first = update_estimate(INVALID, make_cycle(8, 20.0, 8 * 1500.0), params)
-        nudged = update_estimate(first, make_cycle(12, 20.0, 12 * 1500.0), params,
-                                 weight=0.1)
-        assert first.lambda_hat < nudged.lambda_hat < 0.5
+        first = update(NO_STATE, 8, 20.0, 8 * 1500.0, params)
+        nudged = update(first, 12, 20.0, 12 * 1500.0, params, weight=0.1)
+        assert rates(first)[0] < rates(nudged)[0] < 0.5
 
     def test_service_rate_from_mean_frame_size(self, params):
         # 100-byte frames serve 15x faster than 1500-byte ones
-        est = update_estimate(INVALID, make_cycle(10, 24.0, 1000.0), params)
-        assert est.mu_hat == pytest.approx(10e9 * 1e-6 / (8 * 100.0), rel=1e-9)
-
-    def test_from_rates_roundtrip(self):
-        est = TrafficEstimate.from_rates(0.25, 0.75)
-        assert est.valid
-        assert est.lambda_hat == 0.25
-        assert est.mu_hat == 0.75
-        with pytest.raises(ValueError):
-            TrafficEstimate.from_rates(0.0, 1.0)
+        state = update(NO_STATE, 10, 24.0, 1000.0, params)
+        assert rates(state)[1] == pytest.approx(10e9 * 1e-6 / (8 * 100.0), rel=1e-9)

@@ -8,14 +8,13 @@ from eeecoal import (
     FixedSize,
     Poisson,
     PolicyConfig,
-    TrafficEstimate,
     TrafficSpec,
     cycle_records,
     delay_cdf,
-    plan_cycle,
     run,
 )
 from eeecoal import analytic, simcore
+from eeecoal.policy import MODE_NAMES, _plan_scalar
 from eeecoal.simcore import SimReport, StateResidency
 
 from conftest import LAM_5G, MU_10G_1500B, W0_5G
@@ -163,7 +162,7 @@ class TestCycleSemantics:
         assert all(r.planned_v == 24.0 and r.planned_qw == 12 for r in recs)
 
     def test_kernel_plans_match_policy_api(self, params):
-        # re-derive every recorded adaptive plan through the public planner
+        # re-derive every recorded adaptive plan from the recorded estimate
         cfg = PolicyConfig.dynamic_timer(16.0)
         rep = run(poisson_1500(5), cfg, params, n_frames=50000, seed=34,
                   record_cycles=True)
@@ -171,10 +170,11 @@ class TestCycleSemantics:
         for rec in cycle_records(rep):
             if math.isnan(rec.lambda_hat):
                 continue
-            plan = plan_cycle(cfg, TrafficEstimate.from_rates(rec.lambda_hat, rec.mu_hat), params)
-            assert plan.mode == rec.planned_mode
-            if plan.mode == "timer":
-                assert plan.timer_us == pytest.approx(rec.planned_v, rel=1e-9)
+            mode, v, _ = _plan_scalar(cfg.kind, 0.0, 0.0, cfg.tau, False, rec.lambda_hat,
+                                      rec.mu_hat, True, params.ts, params.tw)
+            assert MODE_NAMES[mode] == rec.planned_mode
+            if rec.planned_mode == "timer":
+                assert v == pytest.approx(rec.planned_v, rel=1e-9)
             checked += 1
         assert checked > 100
 
