@@ -70,20 +70,13 @@ RHO_CLAMP = 0.99
 DEFAULT_EWMA_WEIGHT = 0.15
 
 
-def _finite_float(text: str) -> float:
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError(f"{text} is not finite")
-    return x
-
-
 # config grammar: argument converters of each policy; dynamic_size instead
 # takes an optional solver name
 _ARGS = {
     "none": (),
-    "static_timer": (_finite_float,),
+    "static_timer": (float,),
     "static_size": (int,),
-    "static_dual": (_finite_float, int),
+    "static_dual": (float, int),
     "dynamic_timer": (),
 }
 

@@ -40,6 +40,14 @@ def stats_poisson_fixed(lam, mu):
 # baseline delay
 # --------------------------------------------------------------------------
 
+class TestEeeParams:
+    @pytest.mark.parametrize("field", ["phi_off", "ts", "tw", "line_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_values(self, field, value):
+        with pytest.raises(ValueError):
+            EeeParams(**{field: value})
+
+
 class TestW0:
     def test_reference_point(self):
         stats = stats_poisson_fixed(LAM_5G, MU_10G_1500B)

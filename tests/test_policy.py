@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from eeecoal import PolicyConfig
@@ -100,6 +102,13 @@ class TestPlanCycle:
             PolicyConfig.dynamic_size(16.0, solver="newton")
         with pytest.raises(ValueError):
             PolicyConfig.dynamic_timer(16.0, ewma_weight=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                PolicyConfig.static_timer(bad)
+            with pytest.raises(ValueError):
+                PolicyConfig.static_dual(bad, 12)
+            with pytest.raises(ValueError):
+                PolicyConfig.dynamic_size(bad)
 
 
 class TestUpdateEstimate:
