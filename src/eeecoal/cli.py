@@ -89,7 +89,7 @@ class ExperimentSpec:
     policies: tuple[tuple[PolicyConfig, ...], ...]   # per config line; adaptive: per tau
     arrival_text: str | None
     sizes: object | None
-    trace: str | None
+    trace: traffic.Trace | None          # read and checked once per experiment
     params: EeeParams
     horizon_frames: int | None
     horizon_time_us: float | None
@@ -102,10 +102,10 @@ class ExperimentSpec:
 
 def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
     cfg.check_known(ALLOWED_KEYS)
-    trace = cfg.get_str("trace")
+    trace_path = cfg.get_str("trace")
     arrival_text = cfg.get_str("arrival")
     sizes_text = cfg.get_str("sizes")
-    if trace is None:
+    if trace_path is None:
         if arrival_text is None or sizes_text is None:
             raise ConfigError("config needs either 'trace' or both 'arrival' and 'sizes'")
         sizes = parse_sizes(sizes_text)
@@ -124,8 +124,11 @@ def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
     rates = tuple(cfg.get_float_list("rate_gbps"))
     taus = tuple(cfg.get_float_list("tau_us"))
     policies = tuple(_policy_line(p, taus) for p in cfg.get_str_list("policy"))
+    for line in policies:
+        for policy in line:
+            policy.validate_against(params)
 
-    if trace is None and not rates:
+    if trace_path is None and not rates:
         raise ConfigError("rate_gbps: need at least one rate (or use a trace)")
     if mode in ("analytic", "sim", "sweep", "cdf") and not policies:
         raise ConfigError("policy: need at least one policy")
@@ -143,10 +146,12 @@ def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
     horizon_time = cfg.get_float("horizon_time_us")
     if horizon_frames is not None and horizon_time is not None:
         raise ConfigError("give horizon_frames or horizon_time_us, not both")
-    if horizon_frames is None and horizon_time is None and trace is None:
+    if horizon_frames is None and horizon_time is None and trace_path is None:
         horizon_frames = DEFAULT_HORIZON_FRAMES
 
     seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
+    # looked up on the module, where tracing and tests wrap it
+    trace = None if trace_path is None else traffic.load_trace(trace_path)
 
     return ExperimentSpec(
         mode=mode,
@@ -191,8 +196,7 @@ def _traffic_for(spec: ExperimentSpec, rate_gbps: float | None) -> traffic.Traff
 def _stats_for(tspec: traffic.TrafficSpec, params: EeeParams) -> TrafficStats | None:
     try:
         if tspec.is_trace:
-            tr = traffic.load_trace(tspec.trace)
-            return traffic.measured_stats(tr.times, tr.sizes, params.line_rate)
+            return traffic.measured_stats(tspec.trace.times, tspec.trace.sizes, params.line_rate)
         return traffic.theoretical_stats(tspec, params.line_rate)
     except ValueError:
         return None  # e.g. overloaded: no stable-model stats
@@ -248,8 +252,7 @@ def _run_sim(point: _Point):
 def _row_base(point: _Point) -> dict:
     rate = point.rate_gbps
     if rate is None and point.spec.trace is not None:
-        tr = traffic.load_trace(point.spec.trace)
-        rate = tr.mean_rate_bps / 1e9
+        rate = point.spec.trace.mean_rate_bps / 1e9
     return {c: None for c in COLUMNS} | {"rate_gbps": rate, "tau_us": point.tau}
 
 

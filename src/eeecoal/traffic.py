@@ -10,7 +10,9 @@ Generation is deterministic per seed.  Arrival and size draws come from two
 independent child generators of the run seed.
 """
 
+import io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,11 +86,11 @@ class BimodalSize:
 
 @dataclass(frozen=True)
 class TrafficSpec:
-    """Either a generated (arrival + sizes) source or a trace file."""
+    """Either a generated (arrival + sizes) source or a trace: a file path or a loaded Trace."""
 
     arrival: Poisson | Pareto | None = None
     sizes: FixedSize | BimodalSize | None = None
-    trace: str | Path | None = None
+    trace: "str | Path | Trace | None" = None
 
     def __post_init__(self):
         if self.trace is not None:
@@ -140,6 +142,59 @@ class Trace:
         return lam * 8.0 * float(self.sizes.mean()) * 1e6
 
 
+# a blank or '#' comment line, with the line break before it
+_SKIPPED_LINE = re.compile(r"\n[^\S\n]*(?:#.*)?(?=\n|\Z)")
+_LINE = re.compile(r".+")
+# numpy strips these ASCII separators around a field; float() does not
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def load_trace(path: str | Path) -> Trace:
+    """Parse a trace CSV; malformed lines, nan/inf fields and decreasing times are errors.
+
+    numpy parses a well-formed trace from one read of the file.  Any other
+    file goes through the line loop, which reads what only float() reads
+    (such as ``1_0``) or raises at the first faulty line.
+    """
+    trace = _parse_numpy(path)
+    return trace if trace is not None else _parse_lines(path)
+
+
+def _parse_numpy(path) -> Trace | None:
+    """The trace if numpy reads every data line and the checks pass, else None."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=None) as fh:
+            body = _SKIPPED_LINE.sub("", "\n" + fh.read())    # each kept line after a "\n"
+    except UnicodeDecodeError:
+        return None                     # the loop names the position it reached
+    header = 0
+    for line in _LINE.finditer(body):   # the optional header, skipped as _data_lines does
+        fields = line[0].strip().split(",")
+        if len(fields) != 2:
+            return None
+        try:
+            float(fields[0]), float(fields[1])
+            break
+        except ValueError:
+            header += 1
+    else:
+        return Trace(times=np.empty(0), sizes=np.empty(0))
+    if any(c in body for c in _NUMPY_ONLY_SPACE):
+        return None
+    try:
+        # bytes, not text, keep numpy's read buffer at one byte per character;
+        # two columns, since the first row has two fields and every row must
+        # have as many as the first
+        table = np.loadtxt(io.BytesIO(body.encode()), encoding="utf-8", skiprows=1 + header,
+                           delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    times, sizes = np.ascontiguousarray(table.T)
+    if np.isfinite(table).all() and (sizes > 0).all() and (np.diff(times) >= 0).all():
+        return Trace(times=times, sizes=sizes)
+    return None
+
+
 def _data_lines(path):
     """Yield (lineno, line, time, size) for each data line of a trace CSV.
 
@@ -171,8 +226,8 @@ def _data_lines(path):
             yield lineno, line, t, s
 
 
-def load_trace(path: str | Path) -> Trace:
-    """Parse a trace CSV; malformed lines, nan/inf fields and decreasing times are errors."""
+def _parse_lines(path) -> Trace:
+    """The line loop: one float() pair per line, raising at the first faulty line."""
     times: list[float] = []
     sizes: list[float] = []
     for lineno, _, t, s in _data_lines(path):
@@ -233,10 +288,14 @@ def _draw_sizes(sizes, rng, n: int) -> np.ndarray:
     return np.where(small, float(sizes.small), float(sizes.large))
 
 
+def _loaded(trace: str | Path | Trace) -> Trace:
+    return trace if isinstance(trace, Trace) else load_trace(trace)
+
+
 def sample_frames(spec: TrafficSpec, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized draw of n frames: (arrival_times, sizes_bytes)."""
     if spec.is_trace:
-        trace = load_trace(spec.trace)
+        trace = _loaded(spec.trace)
         return trace.times[:n].copy(), trace.sizes[:n].copy()
     if n <= 0:
         raise ValueError("n must be positive")
@@ -248,7 +307,7 @@ def sample_frames(spec: TrafficSpec, n: int, seed) -> tuple[np.ndarray, np.ndarr
 def sample_frames_until(spec: TrafficSpec, horizon_us: float, seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw frames with arrival times <= horizon_us."""
     if spec.is_trace:
-        trace = load_trace(spec.trace)
+        trace = _loaded(spec.trace)
         k = int(np.searchsorted(trace.times, horizon_us, side="right"))
         return trace.times[:k].copy(), trace.sizes[:k].copy()
     if horizon_us <= 0:

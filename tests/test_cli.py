@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eeecoal import EeeParams, FixedSize, Poisson, PolicyConfig, TrafficSpec, theoretical_stats
+from eeecoal import (EeeParams, FixedSize, Poisson, PolicyConfig, TrafficSpec,
+                     theoretical_stats, traffic)
 from eeecoal.analytic import size_based_outcome
 from eeecoal.cli import ALLOWED_KEYS, main, COLUMNS
 from eeecoal.config import Config, ConfigError, parse_config
@@ -275,6 +276,46 @@ seed = 5
         assert float(rows[0]["rate_gbps"]) == pytest.approx(5.0, rel=0.05)
         assert float(rows[0]["delay_measured_us"]) == pytest.approx(16.0, rel=0.15)
 
+    @staticmethod
+    def _three_point_cfg(tmp_path):
+        trace = tmp_path / "t.csv"
+        rng = np.random.default_rng(1)
+        t = np.cumsum(rng.exponential(2.4, 3000))
+        trace.write_text("t,s\n" + "".join(f"{x:.4f},1500\n" for x in t))
+        return write_cfg(tmp_path / "e.cfg", f"""\
+trace = {trace}
+tau_us = 16
+tau_us = 64
+policy = static_size(12)
+policy = dynamic_timer
+seed = 5
+""")
+
+    def test_trace_is_parsed_once_per_experiment(self, tmp_path, monkeypatch):
+        calls = []
+        load = traffic.load_trace
+
+        def counting(path):
+            calls.append(path)
+            return load(path)
+
+        monkeypatch.setattr(traffic, "load_trace", counting)
+        cfg = self._three_point_cfg(tmp_path)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        rows = [r for f in ("static_size_12", "dynamic_timer")
+                for r in read_rows(tmp_path / "out" / f"sweep_{f}.csv")]
+        assert len(rows) == 3
+        assert len(calls) == 1
+
+    def test_trace_parallel_jobs_identical(self, tmp_path):
+        cfg = self._three_point_cfg(tmp_path)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["sweep", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(b), "--jobs", "2"]) == 0
+        assert sorted(f.name for f in a.iterdir()) == sorted(f.name for f in b.iterdir())
+        for f in sorted(a.iterdir()):
+            assert f.read_bytes() == (b / f.name).read_bytes()
+
 
 class TestErrorHandling:
     def test_missing_config(self, tmp_path, capsys):
@@ -296,6 +337,31 @@ class TestErrorHandling:
                         "arrival = poisson\nsizes = fixed(1500)\nrate_gbps = 5\npolicy = dynamic_timer\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "tau_us" in capsys.readouterr().err
+
+    def test_bad_trace_fails_before_any_output(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("0.0,1500\n5.0,1500\n4.0,1500\n")
+        cfg = write_cfg(tmp_path / "e.cfg", f"trace = {trace}\ntau_us = 16\n"
+                        "policy = none\npolicy = dynamic_timer\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["sweep", "analytic"])
+    def test_static_timer_within_ts_fails_before_any_output(self, tmp_path, capsys, mode):
+        cfg = write_cfg(tmp_path / "e.cfg", """\
+arrival = poisson
+sizes = fixed(1500)
+rate_gbps = 5
+policy = static_size(12)
+policy = static_timer(2)
+horizon_frames = 2000
+""")
+        out = tmp_path / "o"
+        assert main([mode, "--config", cfg, "--out", str(out)]) == 2
+        assert "must exceed the sleep transition" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     def test_non_finite_trace_field(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"

@@ -1,9 +1,13 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eeecoal import TrafficSpec, theoretical_stats
+from eeecoal import TrafficSpec, theoretical_stats, traffic
 from eeecoal.traffic import (
     BimodalSize,
     FixedSize,
@@ -16,6 +20,7 @@ from eeecoal.traffic import (
     sample_frames,
     sample_frames_until,
 )
+from oracles import load_trace_lines
 
 LAM = 0.4166667
 
@@ -220,3 +225,109 @@ class TestTraceLoading:
         path.write_text("0.0,0\n")
         with pytest.raises(TraceFormatError, match="line 1"):
             load_trace(path)
+
+
+# --------------------------------------------------------------------------
+# the numpy parser against the line loop it replaced
+# --------------------------------------------------------------------------
+
+WELL_FORMED = ["data"] * 6 + ["comment", "blank"]
+ODD = ["inline #", "1_0", "quoted", "one field", "three fields", "non-finite", "size <= 0",
+       "decreasing", "junk"]
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace text: well-formed lines, those mixed with odd and faulty ones, or one odd kind."""
+    pad = st.sampled_from(["", "", "", " ", "\t", " \u2028", "\x1f"])
+
+    def field(x):
+        return draw(pad) + x + draw(pad)
+
+    lines = draw(st.lists(st.sampled_from(
+        ["arrival_time_us,frame_size_bytes", "t, s", "time (us),size"]), max_size=2))
+    kinds = draw(st.sampled_from([WELL_FORMED, WELL_FORMED + ODD, [draw(st.sampled_from(ODD))]]))
+    t = 0.0
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=14)):
+        t += draw(st.sampled_from([0.0, 0.125, 1.0, 2.4, 1e3]))
+        time = draw(st.sampled_from([f"{t:.4f}", repr(t), f"{t:g}", f"{t:.3e}"]))
+        size = str(draw(st.integers(1, 1518)))
+        lines.append({
+            "data": lambda: field(time) + "," + field(size),
+            "comment": lambda: draw(st.sampled_from(["#", "# frames 0+", " \t# a, b", "#1,2"])),
+            "blank": lambda: draw(st.sampled_from(["", " ", "\t", "\x0c"])),
+            "inline #": lambda: f"{time},{size} # note",
+            "1_0": lambda: f"{time},1_{size}",
+            "quoted": lambda: f'"{time}",{size}',
+            "one field": lambda: time,
+            "three fields": lambda: f"{time},{size},1",
+            "non-finite": lambda: draw(st.sampled_from(
+                [f"{{}},{size}", f"{time},{{}}"])).format(
+                    draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))),
+            "size <= 0": lambda: f"{time},{draw(st.sampled_from(['0', '-1', '-0.0', '0e3']))}",
+            "decreasing": lambda: f"{t - draw(st.sampled_from([0.001, 1.0, 50.0])):.4f},{size}",
+            "junk": lambda: draw(st.text(st.characters(blacklist_categories=("Cs",)),
+                                         max_size=12)),
+        }[kind]())
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(load, path):
+    try:
+        trace = load(path)
+    except Exception as exc:            # compared with the oracle's, never hidden
+        return type(exc), str(exc)
+    return trace.times.dtype, trace.times.tobytes(), trace.sizes.dtype, trace.sizes.tobytes()
+
+
+class TestTraceParseFuzz:
+    @given(text=trace_texts())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_the_line_loop(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert _outcome(load_trace, path) == _outcome(load_trace_lines, path)
+
+    @pytest.mark.parametrize("data", [
+        b"0.0,1500\n\xff,1500\n",
+        b"0.0,1500\nabc\n" + b"1.0,1500\n" * 3000 + b"\xff\n",
+    ], ids=["bad-byte", "bad-line-before-bad-byte"])
+    def test_undecodable_file_matches_the_line_loop(self, tmp_path, data):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        assert _outcome(load_trace, path) == _outcome(load_trace_lines, path)
+
+    @pytest.mark.parametrize("text", [
+        "0.0,1500\n2.4,1500\n",
+        "# benchmark trace\narrival_time_us,frame_size_bytes\n# frames 0+\n"
+        "0.8670,1500\n3.2250,100\n# frames 2+\n3.2250,100\n",
+        "t,s\r\ntime,size\r\n 1.0 ,\t1500 \r\n\r\n  # c\r\n2.0, 1e3\r\n",
+        "1.5e1,64",
+    ], ids=["plain", "header-and-comments", "crlf-two-headers-padded", "no-final-newline"])
+    def test_well_formed_trace_skips_the_line_loop(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = load_trace_lines(path)
+
+        def no_loop(*args):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(traffic, "_parse_lines", no_loop)
+        trace = load_trace(path)
+        assert trace.times.tobytes() == expected.times.tobytes()
+        assert trace.sizes.tobytes() == expected.sizes.tobytes()
+
+    def test_loaded_trace_replays_as_its_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("".join(f"{2.4 * i:.4f},{64 + i}\n" for i in range(50)))
+        loaded = TrafficSpec(trace=load_trace(path))
+        for spec in (loaded, TrafficSpec(trace=str(path))):
+            times, sizes = sample_frames(spec, 20, seed=0)
+            assert list(sizes) == [64.0 + i for i in range(20)]
+            times, _ = sample_frames_until(spec, 24.0, seed=0)
+            assert len(times) == 11
+
