@@ -119,9 +119,12 @@ class TraceFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """A loaded trace: arrival times (us, non-decreasing) and sizes (bytes)."""
+    """A loaded trace: arrival times (us, non-decreasing) and sizes (bytes).
+
+    Compared and hashed by identity, so a TrafficSpec holding one is too.
+    """
 
     times: np.ndarray
     sizes: np.ndarray

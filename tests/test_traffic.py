@@ -1,6 +1,4 @@
 import math
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,11 +284,10 @@ def _outcome(load, path):
 class TestTraceParseFuzz:
     @given(text=trace_texts())
     @settings(max_examples=600, deadline=None)
-    def test_matches_the_line_loop(self, text):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "t.csv"
-            path.write_bytes(text.encode("utf-8"))
-            assert _outcome(load_trace, path) == _outcome(load_trace_lines, path)
+    def test_matches_the_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzzed-trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(load_trace, path) == _outcome(load_trace_lines, path)
 
     @pytest.mark.parametrize("data", [
         b"0.0,1500\n\xff,1500\n",
@@ -325,6 +322,8 @@ class TestTraceParseFuzz:
         path = tmp_path / "t.csv"
         path.write_text("".join(f"{2.4 * i:.4f},{64 + i}\n" for i in range(50)))
         loaded = TrafficSpec(trace=load_trace(path))
+        assert loaded == TrafficSpec(trace=loaded.trace) != TrafficSpec(trace=load_trace(path))
+        assert hash(loaded) == hash(TrafficSpec(trace=loaded.trace))
         for spec in (loaded, TrafficSpec(trace=str(path))):
             times, sizes = sample_frames(spec, 20, seed=0)
             assert list(sizes) == [64.0 + i for i in range(20)]
