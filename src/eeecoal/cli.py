@@ -152,6 +152,9 @@ def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
     seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
     # looked up on the module, where tracing and tests wrap it
     trace = None if trace_path is None else traffic.load_trace(trace_path)
+    if trace is not None and (trace.n_frames < 2 or trace.times[-1] == trace.times[0]):
+        raise ConfigError(f"trace {trace_path}: {trace.n_frames} frame(s) spanning 0 us; "
+                          "need at least two frames over a positive time span")
 
     return ExperimentSpec(
         mode=mode,
@@ -297,6 +300,12 @@ def _sim_row(point: _Point) -> dict:
         suspend_frac=report.suspend_fraction,
         seed=spec.seed,
     )
+    if not report.warmed_up:
+        where = "the trace" if point.rate_gbps is None else f"{point.rate_gbps:g} Gb/s"
+        tau = "" if point.tau is None else f", tau {point.tau:g} us"
+        print(f"warning: {point.policy.label()} at {where}{tau}: {report.n_cycles} cycles "
+              f"for warmup_cycles = {spec.warmup_cycles}; the row averages over every cycle",
+              file=sys.stderr)
     if stats is not None and not math.isnan(report.mean_delay_us) and report.mean_delay_us > 0:
         row["bound_phi"] = analytic.energy_lower_bound(report.mean_delay_us, spec.params, stats)
     return row

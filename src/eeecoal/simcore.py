@@ -12,19 +12,25 @@ at ``phi_off``.
 
 Because wake conditions depend only on arrival times, the whole run reduces
 to a single pass over the (pre-drawn) arrival array; the pass is the hot
-kernel, plain Python over memoryviews of the arrays.
-Per-frame queuing delays (service start minus arrival) are recorded exactly;
-aggregates skip a warm-up prefix of cycles.
+kernel, plain Python over memoryviews of the arrays.  It records two things
+exactly: each frame's queuing delay (service start minus arrival) and one
+row per cycle, the cycle table (``CycleTable``: start, first frame, planned
+mode, V and Q_w, wake instant, and the estimate the plan used).  Every
+aggregate of a ``SimReport`` is a reduction over the table's rows after a
+warm-up prefix, and ``cycle_records`` turns the rows of any report into
+``CycleRecord`` objects.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import EeeParams
 from .policy import (
     MODE_NAMES,
+    MODE_SUSPEND,
     PolicyConfig,
     _estimate_update,
     _plan_scalar,
@@ -34,90 +40,39 @@ from .traffic import TrafficSpec, sample_frames, sample_frames_until
 DEFAULT_WARMUP_CYCLES = 100
 
 
-# summary vector slots filled by the kernel
-_S_END = 0           # final buffer-empty instant (simulated horizon)
-_S_NCYC = 1
-_S_WSTART = 2        # start of the measurement window
-_S_FIRSTWF = 3       # first frame index inside the window
-_S_WARMED = 4
-_S_LPI_W = 5         # LPI time inside the window
-_S_TOFF_SUM_W = 6
-_S_NCYC_W = 7
-_S_NSUS_W = 8
-_S_VSUM_W = 9
-_S_NV_W = 10
-_S_QSUM_W = 11
-_S_NQ_W = 12
-_S_NSUS_A = 13
-_S_VSUM_A = 14
-_S_NV_A = 15
-_S_QSUM_A = 16
-_S_NQ_A = 17
-_S_TS_ALL = 18
-_S_LPI_ALL = 19
-_S_TW_ALL = 20
-_S_IDLE_ALL = 21
-_S_SERVE_ALL = 22
-_SUMMARY_LEN = 23
-
-# per-cycle record columns (record_cycles mode)
-_C_START = 0
-_C_TE = 1
-_C_WF = 2
-_C_TOFF = 3
-_C_NFRAMES = 4
-_C_FIRSTIDX = 5
-_C_DUR = 6
-_C_MODE = 7
-_C_V = 8
-_C_QW = 9
-_C_LAMHAT = 10
-_C_MUHAT = 11
-_C_NSLEEP = 12
-_C_NCOLS = 13
 
 
-def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma_w,
-                ts, tw, warmup, record):
+class CycleTable(NamedTuple):
+    """One row per cycle, in the order the kernel ran them (warm-up included)."""
+
+    start: np.ndarray     # buffer-empty instant that opened the cycle, us
+    first: np.ndarray     # index of the cycle's first frame
+    mode: np.ndarray      # planned mode, a key of policy.MODE_NAMES
+    v: np.ndarray         # planned timer, us (0 unless timer or dual)
+    qw: np.ndarray        # planned threshold, frames (0 unless threshold or dual)
+    wake: np.ndarray      # instant the wake transition began (start if suspended), us
+    lam_hat: np.ndarray   # estimate the plan was computed from (nan if none)
+    mu_hat: np.ndarray
+
+
+def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma_w, ts, tw):
+    """Serve the frames; returns (per-frame delays, cycle table, end instant)."""
     n = arr.shape[0]
     delays = np.empty(n, dtype=np.float64)
-    if record:
-        cyc = np.empty((n + 2, _C_NCOLS), dtype=np.float64)
-    else:
-        cyc = np.empty((0, _C_NCOLS), dtype=np.float64)
-    summary = np.zeros(_SUMMARY_LEN, dtype=np.float64)
+    # a cycle serves at least one frame, so n rows are enough
+    index = np.int32 if n < 2**31 else np.int64
+    table = CycleTable(*(np.empty(n, dtype=dt) for dt in (
+        np.float64, index, np.int8, np.float64, np.float64, np.float64, np.float64, np.float64)))
     # Index through memoryviews: each read is a Python float, so the per-frame
     # and per-cycle arithmetic (down to the planner's solvers) never runs on
     # numpy scalars, which is several times slower.  No copy is made.
     arr, svc, dly = memoryview(arr), memoryview(svc), memoryview(delays)
+    c_start, c_first, c_mode, c_v, c_qw, c_wake, c_lam, c_mu = map(memoryview, table)
 
     est_frames = 0.0
     est_duration = 0.0
     est_service = 0.0
     est_valid = False
-
-    lpi_w = 0.0
-    toff_sum_w = 0.0
-    ncyc_w = 0.0
-    nsus_w = 0.0
-    vsum_w = 0.0
-    nv_w = 0.0
-    qsum_w = 0.0
-    nq_w = 0.0
-    nsus_a = 0.0
-    vsum_a = 0.0
-    nv_a = 0.0
-    qsum_a = 0.0
-    nq_a = 0.0
-    ts_all = 0.0
-    lpi_all = 0.0
-    tw_all = 0.0
-    idle_all = 0.0
-    serve_all = 0.0
-
-    window_start = 0.0
-    first_w_frame = 0
-    warmed = False
 
     i = 0
     t_empty = 0.0
@@ -142,36 +97,11 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma_w,
             plan_mu = 0.0
         mode, pv, pq = _plan_scalar(kind, v_static, qw_static, tau, use_cubic,
                                     plan_lam, plan_mu, est_valid, ts, tw)
-        if c == warmup:
-            window_start = t_empty
-            first_w_frame = i
-            warmed = True
-        post = c >= warmup
-        if post:
-            ncyc_w += 1.0
-        if mode == 0:
-            nsus_a += 1.0
-            if post:
-                nsus_w += 1.0
-        if mode == 1 or mode == 3:
-            vsum_a += pv
-            nv_a += 1.0
-            if post:
-                vsum_w += pv
-                nv_w += 1.0
-        if mode == 2 or mode == 3:
-            qsum_a += pq
-            nq_a += 1.0
-            if post:
-                qsum_w += pq
-                nq_w += 1.0
 
         t_first = arr[i]
-        t_off = 0.0
         wake_start = t_empty
         if mode == 0:
             # suspended: stay active-idle until the next arrival
-            idle_all += t_first - t_empty
             depart = t_empty
         else:
             sleep_end = t_empty + ts
@@ -197,17 +127,9 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma_w,
                     t_timer = t_first + pv
                     trigger = t_timer if t_timer < th_trigger else th_trigger
             wake_start = trigger
-            t_off = wake_start - sleep_end
-            ts_all += ts
-            tw_all += tw
-            lpi_all += t_off
-            if post:
-                lpi_w += t_off
-                toff_sum_w += t_off
             depart = wake_start + tw
 
         # drain FIFO until the buffer empties
-        first_i = i
         svc_sum = 0.0
         j = i
         while True:
@@ -218,68 +140,46 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma_w,
             j += 1
             if j >= n or arr[j] >= depart:
                 break
-        serve_all += svc_sum
-        nfr = j - i
-        dur = depart - t_empty
 
-        if record:
-            nsleep = 0.0
-            if mode != 0:
-                k = i
-                while k < n and arr[k] < wake_start:
-                    k += 1
-                nsleep = k - i
-            cyc[c, _C_START] = t_empty
-            cyc[c, _C_TE] = t_first - t_empty
-            cyc[c, _C_WF] = dly[first_i]
-            cyc[c, _C_TOFF] = t_off
-            cyc[c, _C_NFRAMES] = nfr
-            cyc[c, _C_FIRSTIDX] = first_i
-            cyc[c, _C_DUR] = dur
-            cyc[c, _C_MODE] = mode
-            cyc[c, _C_V] = pv
-            cyc[c, _C_QW] = pq
-            cyc[c, _C_LAMHAT] = plan_lam if est_valid else math.nan
-            cyc[c, _C_MUHAT] = plan_mu if est_valid else math.nan
-            cyc[c, _C_NSLEEP] = nsleep
+        c_start[c] = t_empty
+        c_first[c] = i
+        c_mode[c] = mode
+        c_v[c] = pv
+        c_qw[c] = pq
+        c_wake[c] = wake_start
+        c_lam[c] = plan_lam if est_valid else math.nan
+        c_mu[c] = plan_mu if est_valid else math.nan
 
         est_frames, est_duration, est_service, est_valid = _estimate_update(
             est_frames, est_duration, est_service, est_valid,
-            float(nfr), dur, svc_sum, ewma_w)
+            float(j - i), depart - t_empty, svc_sum, ewma_w)
 
         t_empty = depart
         i = j
         c += 1
 
-    summary[_S_END] = t_empty
-    summary[_S_NCYC] = c
-    summary[_S_WSTART] = window_start
-    summary[_S_FIRSTWF] = first_w_frame
-    summary[_S_WARMED] = 1.0 if warmed else 0.0
-    summary[_S_LPI_W] = lpi_w
-    summary[_S_TOFF_SUM_W] = toff_sum_w
-    summary[_S_NCYC_W] = ncyc_w
-    summary[_S_NSUS_W] = nsus_w
-    summary[_S_VSUM_W] = vsum_w
-    summary[_S_NV_W] = nv_w
-    summary[_S_QSUM_W] = qsum_w
-    summary[_S_NQ_W] = nq_w
-    summary[_S_NSUS_A] = nsus_a
-    summary[_S_VSUM_A] = vsum_a
-    summary[_S_NV_A] = nv_a
-    summary[_S_QSUM_A] = qsum_a
-    summary[_S_NQ_A] = nq_a
-    summary[_S_TS_ALL] = ts_all
-    summary[_S_LPI_ALL] = lpi_all
-    summary[_S_TW_ALL] = tw_all
-    summary[_S_IDLE_ALL] = idle_all
-    summary[_S_SERVE_ALL] = serve_all
-    return delays, summary, cyc[:c]
+    return delays, CycleTable(*(col[:c] for col in table)), t_empty
+
+
+def _t_off(cycles: CycleTable, ts: float) -> np.ndarray:
+    """LPI residency of each cycle, us: wake instant minus end of the sleep transition."""
+    t_off = cycles.start + ts
+    np.subtract(cycles.wake, t_off, out=t_off)
+    t_off[cycles.mode == MODE_SUSPEND] = 0.0
+    return t_off
+
+
+def _fold(values: np.ndarray, out=None) -> float:
+    """Sum in cycle order, one addition at a time, as a running total would.
+
+    numpy's pairwise ``sum`` rounds differently, and so may Python's ``sum``.
+    """
+    return float(np.cumsum(values, out=out)[-1])
 
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """Observations of one coalescing cycle (record_cycles mode)."""
+    """One cycle of a run: its cycle-table row and what follows from it."""
 
     sleep_start: float        # buffer-empty instant that opened the cycle, us
     t_e: float                # empty period: sleep start -> first arrival, us
@@ -287,7 +187,6 @@ class CycleRecord:
     t_off: float              # LPI residency, us (0 for suspended cycles)
     frames_while_asleep: int
     frames_total: int
-    bytes_total: float
     cycle_duration: float
     planned_mode: str
     planned_v: float
@@ -321,6 +220,9 @@ class SimReport:
 
     Aggregates exclude the warm-up cycles whenever the run got past them
     (``warmed_up``); ``delays`` holds the post-warm-up queuing delay samples.
+    ``cycles`` is the cycle table of the whole run, ``arrivals`` the frame
+    arrival times and ``params`` the interface simulated; ``cycle_records``
+    reads them.
     """
 
     measured_phi: float
@@ -337,14 +239,14 @@ class SimReport:
     duration_us: float
     residency: StateResidency
     delays: np.ndarray = field(repr=False)
-    cycles: np.ndarray | None = field(default=None, repr=False)
-    sizes: np.ndarray | None = field(default=None, repr=False)
+    cycles: CycleTable | None = field(default=None, repr=False)
+    arrivals: np.ndarray | None = field(default=None, repr=False)
+    params: EeeParams | None = field(default=None, repr=False)
 
 
 def run(traffic: TrafficSpec, policy: PolicyConfig, params: EeeParams = EeeParams(),
         *, n_frames: int | None = None, time_us: float | None = None,
-        seed=0, warmup_cycles: int = DEFAULT_WARMUP_CYCLES,
-        record_cycles: bool = False) -> SimReport:
+        seed=0, warmup_cycles: int = DEFAULT_WARMUP_CYCLES) -> SimReport:
     """Simulate one interface under the given traffic and policy.
 
     Exactly one of ``n_frames`` / ``time_us`` selects the horizon, except for
@@ -369,10 +271,15 @@ def run(traffic: TrafficSpec, policy: PolicyConfig, params: EeeParams = EeeParam
     if len(times) == 0:
         raise ValueError("horizon contains no frames")
 
-    svc = sizes * 8.0 / params.rate_bits_per_us
-    delays, summary, cyc = _sim_kernel(
-        np.ascontiguousarray(times, dtype=np.float64),
-        np.ascontiguousarray(svc, dtype=np.float64),
+    times = np.ascontiguousarray(times, dtype=np.float64)
+    # service times, computed in the drawn sizes array (a fresh copy for
+    # traces too), which is needed no more
+    svc = np.ascontiguousarray(sizes, dtype=np.float64)
+    svc *= 8.0
+    svc /= params.rate_bits_per_us
+    delays, cycles, end = _sim_kernel(
+        times,
+        svc,
         policy.kind,
         float(policy.v),
         float(policy.qw),
@@ -381,85 +288,80 @@ def run(traffic: TrafficSpec, policy: PolicyConfig, params: EeeParams = EeeParam
         float(policy.ewma_weight),
         params.ts,
         params.tw,
-        int(warmup_cycles),
-        bool(record_cycles),
     )
 
-    warmed = summary[_S_WARMED] > 0.0
-    end = summary[_S_END]
-    if warmed:
-        window = end - summary[_S_WSTART]
-        lpi = summary[_S_LPI_W]
-        toff_sum, ncyc = summary[_S_TOFF_SUM_W], summary[_S_NCYC_W]
-        nsus = summary[_S_NSUS_W]
-        vsum, nv = summary[_S_VSUM_W], summary[_S_NV_W]
-        qsum, nq = summary[_S_QSUM_W], summary[_S_NQ_W]
-        first = int(summary[_S_FIRSTWF])
-    else:
-        window = end
-        lpi = summary[_S_LPI_ALL]
-        toff_sum, ncyc = summary[_S_LPI_ALL], summary[_S_NCYC]
-        nsus = summary[_S_NSUS_A]
-        vsum, nv = summary[_S_VSUM_A], summary[_S_NV_A]
-        qsum, nq = summary[_S_QSUM_A], summary[_S_NQ_A]
-        first = 0
-    window_delays = delays[first:]
+    # aggregates are reductions over the cycles after the warm-up prefix, or
+    # over all of them when the run never got past it
+    n_cycles = len(cycles.start)
+    warmed = 0 <= warmup_cycles < n_cycles
+    w = warmup_cycles if warmed else 0
+    n_post = n_cycles - w
+    # cycles per mode code: suspend, timer, threshold, dual
+    n_suspend, n_timer, n_threshold, n_dual = np.bincount(cycles.mode[w:], minlength=4).tolist()
+    # v and qw are 0 in the rows whose plan does not use them
+    n_v, n_qw = n_timer + n_dual, n_threshold + n_dual
+    mean_v = _fold(cycles.v[w:]) / n_v if n_v else math.nan
+    mean_qw = _fold(cycles.qw[w:]) / n_qw if n_qw else math.nan
+    t_off = _t_off(cycles, params.ts)
+    lpi_all = float(t_off.sum())
+    lpi = _fold(t_off[w:], out=t_off[w:])
+    window = end - float(cycles.start[w])
+    window_delays = delays[cycles.first[w]:]
 
+    suspended = np.flatnonzero(cycles.mode == MODE_SUSPEND)
+    n_sleeps = n_cycles - len(suspended)
+    serving = float(svc.sum())
     span = float(times[-1] - times[0])
-    offered = float(svc.sum()) / span if span > 0 else math.inf
+    offered = serving / span if span > 0 else math.inf
 
     return SimReport(
         measured_phi=1.0 - (1.0 - params.phi_off) * (lpi / window if window > 0 else 0.0),
-        mean_delay_us=float(window_delays.mean()) if len(window_delays) else math.nan,
-        mean_toff_us=toff_sum / ncyc if ncyc > 0 else math.nan,
-        mean_planned_v_us=vsum / nv if nv > 0 else math.nan,
-        mean_planned_qw=qsum / nq if nq > 0 else math.nan,
-        suspend_fraction=nsus / ncyc if ncyc > 0 else 0.0,
-        n_cycles=int(summary[_S_NCYC]),
+        mean_delay_us=float(window_delays.mean()),
+        mean_toff_us=lpi / n_post,
+        mean_planned_v_us=mean_v,
+        mean_planned_qw=mean_qw,
+        suspend_fraction=n_suspend / n_post,
+        n_cycles=n_cycles,
         n_frames=len(times),
         seed=seed,
         warmed_up=warmed,
         overload=offered >= 1.0,
-        duration_us=float(end),
+        duration_us=end,
         residency=StateResidency(
-            going_to_sleep=float(summary[_S_TS_ALL]),
-            lpi=float(summary[_S_LPI_ALL]),
-            waking=float(summary[_S_TW_ALL]),
-            active_serving=float(summary[_S_SERVE_ALL]),
-            active_idle=float(summary[_S_IDLE_ALL]),
+            going_to_sleep=params.ts * n_sleeps,
+            lpi=lpi_all,
+            waking=params.tw * n_sleeps,
+            active_serving=serving,
+            active_idle=float((times[cycles.first[suspended]] - cycles.start[suspended]).sum()),
         ),
         delays=window_delays,
-        cycles=cyc if record_cycles else None,
-        sizes=sizes if record_cycles else None,
+        cycles=cycles,
+        arrivals=times,
+        params=params,
     )
 
 
 def cycle_records(report: SimReport) -> list[CycleRecord]:
-    """Materialize per-cycle records from a record_cycles run."""
-    if report.cycles is None:
-        raise ValueError("run with record_cycles=True to collect cycle records")
-    cyc = report.cycles
-    sizes = report.sizes
-    out = []
-    for row in cyc:
-        first = int(row[_C_FIRSTIDX])
-        nfr = int(row[_C_NFRAMES])
-        out.append(CycleRecord(
-            sleep_start=float(row[_C_START]),
-            t_e=float(row[_C_TE]),
-            w_f=float(row[_C_WF]),
-            t_off=float(row[_C_TOFF]),
-            frames_while_asleep=int(row[_C_NSLEEP]),
-            frames_total=nfr,
-            bytes_total=float(sizes[first:first + nfr].sum()),
-            cycle_duration=float(row[_C_DUR]),
-            planned_mode=MODE_NAMES[int(row[_C_MODE])],
-            planned_v=float(row[_C_V]),
-            planned_qw=int(row[_C_QW]),
-            lambda_hat=float(row[_C_LAMHAT]),
-            mu_hat=float(row[_C_MUHAT]),
-        ))
-    return out
+    """Every cycle of a run, warm-up included, as records."""
+    cyc, times = report.cycles, report.arrivals
+    t_first = times[cyc.first]
+    slept = cyc.mode != MODE_SUSPEND
+    # service of the first frame can start once the link is awake: tw after
+    # the wake instant, or at once in a suspended cycle
+    ready = cyc.wake + np.where(slept, report.params.tw, 0.0)
+    w_f = np.maximum(ready, t_first) - t_first
+    asleep = np.where(slept, np.searchsorted(times, cyc.wake) - cyc.first, 0)
+    columns = (
+        cyc.start, t_first - cyc.start, w_f, _t_off(cyc, report.params.ts), asleep,
+        np.diff(cyc.first, append=report.n_frames),
+        np.diff(cyc.start, append=report.duration_us),
+        cyc.mode, cyc.v, cyc.qw.astype(np.int64), cyc.lam_hat, cyc.mu_hat,
+    )
+    return [
+        CycleRecord(start, t_e, wf, toff, nsleep, nfr, dur, MODE_NAMES[m], v, qw, lam, mu)
+        for start, t_e, wf, toff, nsleep, nfr, dur, m, v, qw, lam, mu
+        in zip(*(col.tolist() for col in columns))
+    ]
 
 
 def delay_cdf(report: SimReport, bin_width_us: float) -> tuple[np.ndarray, np.ndarray]:

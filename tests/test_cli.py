@@ -213,6 +213,27 @@ class TestSweepMode:
             assert f.read_bytes() == (b / f.name).read_bytes()
 
 
+    def test_unwarmed_point_warns(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "e.cfg", """\
+arrival = poisson
+sizes = fixed(1500)
+rate_gbps = 5
+tau_us = 16
+policy = static_size(12)
+policy = dynamic_timer
+horizon_frames = 600
+""")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("warning: static_size_12 at 5 Gb/s: ")
+        assert err[1].startswith("warning: dynamic_timer at 5 Gb/s, tau 16 us: ")
+        assert all(" cycles for warmup_cycles = 100;" in line for line in err)
+        write_cfg(tmp_path / "e.cfg", Path(cfg).read_text() + "warmup_cycles = 10\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestSimMode:
     def test_single_point(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "e.cfg", """\
@@ -346,6 +367,18 @@ class TestErrorHandling:
         out = tmp_path / "o"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert "line 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines", ["0.0,1500\n", "0.0,1500\n0.0,100\n0.0,1500\n"],
+                             ids=["one-frame", "three-at-zero"])
+    def test_trace_too_short_to_measure_fails_before_any_output(self, tmp_path, capsys, lines):
+        trace = tmp_path / "t.csv"
+        trace.write_text(lines)
+        cfg = write_cfg(tmp_path / "e.cfg", f"trace = {trace}\ntau_us = 16\n"
+                        "policy = static_size(4)\npolicy = dynamic_timer\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "need at least two frames over a positive time span" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["sweep", "analytic"])

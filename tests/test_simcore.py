@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from eeecoal import (
+    BimodalSize,
     EeeParams,
     FixedSize,
+    Pareto,
     Poisson,
     PolicyConfig,
     TrafficSpec,
@@ -18,6 +20,7 @@ from eeecoal.policy import MODE_NAMES, _plan_scalar
 from eeecoal.simcore import SimReport, StateResidency
 
 from conftest import LAM_5G, MU_10G_1500B, W0_5G
+import oracles
 
 
 def poisson_1500(rate_gbps):
@@ -59,10 +62,9 @@ class TestConservation:
 
     def test_cycle_frames_partition_the_run(self, params):
         rep = run(poisson_1500(5), PolicyConfig.static_dual(24.0, 12), params,
-                  n_frames=20000, seed=4, record_cycles=True)
+                  n_frames=20000, seed=4)
         recs = cycle_records(rep)
         assert sum(r.frames_total for r in recs) == rep.n_frames
-        assert sum(r.bytes_total for r in recs) == 20000 * 1500
         assert all(r.t_off >= 0 and r.t_e >= 0 for r in recs)
 
 
@@ -138,14 +140,14 @@ class TestCycleSemantics:
         # LPI residency is exactly t_e + V - ts: the countdown runs from the
         # first arrival even when that lands inside the sleep transition
         rep = run(poisson_1500(5), PolicyConfig.static_timer(24.0), params,
-                  n_frames=50000, seed=31, record_cycles=True)
+                  n_frames=50000, seed=31)
         for rec in cycle_records(rep):
             assert rec.t_off == pytest.approx(rec.t_e + 24.0 - params.ts, abs=1e-9)
             assert rec.w_f == pytest.approx(24.0 + params.tw, abs=1e-9)
 
     def test_threshold_cycle_first_frame_waits_for_peers(self, params):
         rep = run(poisson_1500(5), PolicyConfig.static_size(12), params,
-                  n_frames=50000, seed=32, record_cycles=True)
+                  n_frames=50000, seed=32)
         recs = cycle_records(rep)
         # first frame of each cycle waits for the remaining 11 plus the wake
         mean_wf = np.mean([r.w_f for r in recs])
@@ -156,7 +158,7 @@ class TestCycleSemantics:
 
     def test_planned_values_recorded(self, params):
         rep = run(poisson_1500(5), PolicyConfig.static_dual(24.0, 12), params,
-                  n_frames=20000, seed=33, record_cycles=True)
+                  n_frames=20000, seed=33)
         recs = cycle_records(rep)
         assert all(r.planned_mode == "dual" for r in recs)
         assert all(r.planned_v == 24.0 and r.planned_qw == 12 for r in recs)
@@ -164,8 +166,7 @@ class TestCycleSemantics:
     def test_kernel_plans_match_policy_api(self, params):
         # re-derive every recorded adaptive plan from the recorded estimate
         cfg = PolicyConfig.dynamic_timer(16.0)
-        rep = run(poisson_1500(5), cfg, params, n_frames=50000, seed=34,
-                  record_cycles=True)
+        rep = run(poisson_1500(5), cfg, params, n_frames=50000, seed=34)
         checked = 0
         for rec in cycle_records(rep):
             if math.isnan(rec.lambda_hat):
@@ -196,7 +197,7 @@ class TestCycleSemantics:
 
     def test_adaptive_timer_settles(self, params):
         rep = run(poisson_1500(5), PolicyConfig.dynamic_timer(16.0), params,
-                  n_frames=200000, seed=35, record_cycles=True)
+                  n_frames=200000, seed=35)
         recs = [r for r in cycle_records(rep)[100:] if r.planned_mode == "timer"]
         vs = np.array([r.planned_v for r in recs])
         assert vs.std() < 0.10 * vs.mean()
@@ -227,7 +228,7 @@ class TestCycleSemantics:
         # a suspended plan is revisited at the next buffer-empty instant;
         # with a feasible target the very next plans go back to sleeping
         rep = run(poisson_1500(5), PolicyConfig.dynamic_timer(16.0), params,
-                  n_frames=30000, seed=39, record_cycles=True)
+                  n_frames=30000, seed=39)
         modes = [r.planned_mode for r in cycle_records(rep)]
         suspended = [i for i, m in enumerate(modes) if m == "suspend"]
         assert all(i < 10 for i in suspended)  # cold start only
@@ -313,3 +314,105 @@ class TestDelayCdf:
         edges, cdf = delay_cdf(self._report_with_delays([0.0, 0.0]), 1.0)
         assert list(edges) == [0.0]
         assert list(cdf) == [1.0]
+
+
+# The residencies are summed in another order than the summary kernel's
+# running totals (ts and tw as count times duration).  A sum of k float64
+# terms moves by at most about k * 2**-53 relative: under 1e-9 up to 10**7
+# cycles, and these runs have fewer than 10**4.
+RESIDENCY_RTOL = 1e-9
+
+# the report fields that reach a CSV row, held bit for bit
+CSV_FIELDS = ("measured_phi", "mean_delay_us", "mean_toff_us", "mean_planned_v_us",
+              "mean_planned_qw", "suspend_fraction")
+
+# CycleRecord field -> record matrix column of the summary kernel
+RECORD_COLUMNS = {
+    "sleep_start": oracles._C_START, "t_e": oracles._C_TE, "w_f": oracles._C_WF,
+    "t_off": oracles._C_TOFF, "frames_while_asleep": oracles._C_NSLEEP,
+    "frames_total": oracles._C_NFRAMES, "cycle_duration": oracles._C_DUR,
+    "planned_v": oracles._C_V, "planned_qw": oracles._C_QW,
+    "lambda_hat": oracles._C_LAMHAT, "mu_hat": oracles._C_MUHAT,
+}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _duplicate_time_trace(path):
+    """Bursty trace in which many frames share a timestamp (groups of 1 to 3)."""
+    rng = np.random.default_rng(17)
+    times = np.repeat(np.cumsum(rng.exponential(5.0, 1200)), rng.integers(1, 4, 1200))
+    sizes = np.where(rng.random(len(times)) < 0.5, 100, 1500)
+    path.write_text("".join(f"{t:.4f},{s}\n" for t, s in zip(times, sizes)))
+    return TrafficSpec(trace=str(path))
+
+
+TRAFFIC = {
+    "poisson-fixed": lambda tmp: poisson_1500(5),
+    "pareto-bimodal": lambda tmp: TrafficSpec(arrival=Pareto(alpha=2.5, lam=0.75),
+                                              sizes=BimodalSize(0.54, 100, 1500)),
+    "trace-duplicates": lambda tmp: _duplicate_time_trace(tmp / "dup.csv"),
+}
+
+
+def assert_matches_summary_kernel(rep, old):
+    """``rep`` from ``run`` agrees with ``oracles.run_summary(..., record_cycles=True)``."""
+    assert rep.n_cycles == old["n_cycles"]
+    for name in ("n_frames", "warmed_up", "overload", "duration_us"):
+        assert getattr(rep, name) == old[name], name
+    for name in CSV_FIELDS:
+        assert _bits(getattr(rep, name)) == _bits(old[name]), name
+    assert _bits(rep.delays) == _bits(old["delays"])
+    for name in ("going_to_sleep", "lpi", "waking", "active_serving", "active_idle"):
+        assert getattr(rep.residency, name) == pytest.approx(
+            getattr(old["residency"], name), rel=RESIDENCY_RTOL), name
+    recs = cycle_records(rep)
+    cyc = old["cycles"]
+    assert len(recs) == len(cyc)
+    for name, col in RECORD_COLUMNS.items():
+        assert _bits([getattr(r, name) for r in recs]) == _bits(cyc[:, col]), name
+    assert [r.planned_mode for r in recs] == [MODE_NAMES[int(m)] for m in cyc[:, oracles._C_MODE]]
+
+
+class TestAgainstSummaryKernel:
+    """The cycle table reproduces the kernel that kept in-kernel aggregates."""
+
+    @pytest.mark.parametrize("warmup", [0, 100, 10**6])
+    @pytest.mark.parametrize("traffic", list(TRAFFIC))
+    @pytest.mark.parametrize("policy", POLICIES + [PolicyConfig.dynamic_timer(0.5)],
+                             ids=lambda p: f"{p.label()}-{p.tau:g}")
+    def test_same_report_and_records(self, params, tmp_path, policy, traffic, warmup):
+        spec = TRAFFIC[traffic](tmp_path)
+        horizon = {} if spec.is_trace else {"n_frames": 6000}
+        rep = run(spec, policy, params, seed=5, warmup_cycles=warmup, **horizon)
+        old = oracles.run_summary(spec, policy, params, seed=5, warmup_cycles=warmup,
+                          record_cycles=True, **horizon)
+        assert_matches_summary_kernel(rep, old)
+        assert rep.warmed_up == (warmup < rep.n_cycles)
+        if warmup == 100:
+            assert rep.warmed_up
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_warmup_at_the_cycle_count(self, params, offset):
+        # warm-up ends only if a cycle follows it: one cycle left, or none
+        policy = PolicyConfig.dynamic_size(16.0)
+        n_cycles = run(poisson_1500(5), policy, params, n_frames=2000, seed=6).n_cycles
+        rep = run(poisson_1500(5), policy, params, n_frames=2000, seed=6,
+                  warmup_cycles=n_cycles + offset)
+        old = oracles.run_summary(poisson_1500(5), policy, params, n_frames=2000, seed=6,
+                          warmup_cycles=n_cycles + offset, record_cycles=True)
+        assert_matches_summary_kernel(rep, old)
+        assert rep.warmed_up == (offset < 0)
+
+    @pytest.mark.parametrize("policy", [PolicyConfig.static_size(40),
+                                        PolicyConfig.static_dual(500.0, 40)],
+                             ids=lambda p: p.label())
+    def test_threshold_unfilled_at_end_of_stream(self, params, policy):
+        rep = run(poisson_1500(5), policy, params, n_frames=1000, seed=8)
+        old = oracles.run_summary(poisson_1500(5), policy, params, n_frames=1000, seed=8,
+                          record_cycles=True)
+        assert_matches_summary_kernel(rep, old)
+        # the last cycle began with fewer frames left than the threshold
+        assert cycle_records(rep)[-1].frames_total < 40
