@@ -13,11 +13,13 @@ limits, ``sim``/``sweep`` run the simulator over the configured grid (sim
 expects a single point, sweep a grid; both share the engine), and ``cdf``
 emits empirical delay CDFs.  One CSV per (mode, policy) is written into
 --out; rows are in deterministic grid order and runs are reproducible
-byte-for-byte given the same seed.
+byte-for-byte given the same seed.  Every fault in the config is reported
+before any output is written.
 """
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -30,6 +32,7 @@ from . import analytic, simcore, traffic
 from .analytic import EeeParams, TrafficStats
 from .config import Config, ConfigError, parse_call
 from .policy import PolicyConfig, predict
+from .traffic import TrafficSpec
 
 COLUMNS = [
     "rate_gbps", "tau_us",
@@ -51,48 +54,50 @@ ALLOWED_KEYS = {
 
 DEFAULT_HORIZON_FRAMES = 1_000_000
 
-
-def parse_arrival(text: str, lam: float):
-    name, args = parse_call(text, "arrival")
-    if name == "poisson":
-        if args:
-            raise ConfigError("arrival poisson takes no arguments (rate comes from rate_gbps)")
-        return traffic.Poisson(lam)
-    if name == "pareto":
-        if len(args) != 1:
-            raise ConfigError("arrival pareto needs one argument: the shape alpha")
-        return traffic.Pareto(alpha=float(args[0]), lam=lam)
-    raise ConfigError(f"arrival: unknown process {name!r}")
+SIM_MODES = ("sim", "sweep", "cdf")
 
 
-def parse_sizes(text: str):
-    name, args = parse_call(text, "sizes")
+# config grammar of the traffic models: the constructor and its argument
+# converters; an arrival process takes its rate (frames/us) last, from rate_gbps
+TRAFFIC_MODELS = {
+    "arrival": {"poisson": (traffic.Poisson, ()), "pareto": (traffic.Pareto, (float,))},
+    "sizes": {"fixed": (traffic.FixedSize, (int,)),
+              "bimodal": (traffic.BimodalSize, (float, int, int))},
+}
+
+
+def parse_model(key: str, text: str, tails=((),)) -> list:
+    """The model of a traffic key's config text, once per tail of extra arguments."""
+    name, args = parse_call(text, key)
+    if name not in TRAFFIC_MODELS[key]:
+        raise ConfigError(f"{key}: unknown model {name!r}")
+    make, converters = TRAFFIC_MODELS[key][name]
+    if len(args) != len(converters):
+        raise ConfigError(f"{key} {text!r}: expected {len(converters)} argument(s)")
     try:
-        if name == "fixed":
-            if len(args) != 1:
-                raise ConfigError("sizes fixed needs one argument: bytes")
-            return traffic.FixedSize(int(args[0]))
-        if name == "bimodal":
-            if len(args) != 3:
-                raise ConfigError("sizes bimodal needs three arguments: p_small, small, large")
-            return traffic.BimodalSize(float(args[0]), int(args[1]), int(args[2]))
-    except ValueError:
-        raise ConfigError(f"sizes: bad arguments in {text!r}") from None
-    raise ConfigError(f"sizes: unknown model {name!r}")
+        args = [convert(a) for convert, a in zip(converters, args)]
+        return [make(*args, *tail) for tail in tails]
+    except ValueError as exc:
+        raise ConfigError(f"{key} {text!r}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class Load:
+    """The traffic of one configured rate, or of the trace, resolved once per experiment."""
+
+    rate_gbps: float                  # the configured rate, or the trace's mean rate
+    traffic: TrafficSpec
+    stats: TrafficStats | None        # None without stable-model stats (overload)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     mode: str
-    rates_gbps: tuple[float, ...]
     taus_us: tuple[float, ...]
     policies: tuple[tuple[PolicyConfig, ...], ...]   # per config line; adaptive: per tau
-    arrival_text: str | None
-    sizes: object | None
-    trace: traffic.Trace | None          # read and checked once per experiment
+    loads: tuple[Load, ...]                          # per rate, or the one trace
     params: EeeParams
-    horizon_frames: int | None
-    horizon_time_us: float | None
+    horizon: dict                                    # run() keyword: n_frames or time_us
     warmup_cycles: int
     cdf_bin_us: float
     seed: int
@@ -101,6 +106,7 @@ class ExperimentSpec:
 
 
 def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
+    """Resolve the whole experiment, raising ConfigError on any fault in it."""
     cfg.check_known(ALLOWED_KEYS)
     trace_path = cfg.get_str("trace")
     arrival_text = cfg.get_str("arrival")
@@ -108,11 +114,8 @@ def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
     if trace_path is None:
         if arrival_text is None or sizes_text is None:
             raise ConfigError("config needs either 'trace' or both 'arrival' and 'sizes'")
-        sizes = parse_sizes(sizes_text)
-    else:
-        if arrival_text is not None or sizes_text is not None:
-            raise ConfigError("'trace' excludes 'arrival'/'sizes'")
-        sizes = None
+    elif arrival_text is not None or sizes_text is not None:
+        raise ConfigError("'trace' excludes 'arrival'/'sizes'")
 
     params = EeeParams(
         phi_off=cfg.get_float("phi_off", 0.1),
@@ -123,6 +126,23 @@ def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
 
     rates = tuple(cfg.get_float_list("rate_gbps"))
     taus = tuple(cfg.get_float_list("tau_us"))
+    horizon_frames = cfg.get_int("horizon_frames")
+    horizon_time = cfg.get_float("horizon_time_us")
+    warmup_cycles = cfg.get_int("warmup_cycles", simcore.DEFAULT_WARMUP_CYCLES)
+    cdf_bin_us = cfg.get_float("cdf_bin_us", 1.0)
+    positive = {"rate_gbps": rates, "tau_us": taus, "horizon_frames": [horizon_frames],
+                "horizon_time_us": [horizon_time], "cdf_bin_us": [cdf_bin_us]}
+    for key, values in positive.items():
+        for x in values:
+            if x is not None and x <= 0:
+                raise ConfigError(f"{key}: must be positive, got {x:g}")
+    if warmup_cycles < 0:
+        raise ConfigError(f"warmup_cycles: must be at least 0, got {warmup_cycles}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: need at least one worker process, got {args.jobs}")
+    if horizon_frames is not None and horizon_time is not None:
+        raise ConfigError("give horizon_frames or horizon_time_us, not both")
+
     policies = tuple(_policy_line(p, taus) for p in cfg.get_str_list("policy"))
     for line in policies:
         for policy in line:
@@ -130,48 +150,47 @@ def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
 
     if trace_path is None and not rates:
         raise ConfigError("rate_gbps: need at least one rate (or use a trace)")
-    if mode in ("analytic", "sim", "sweep", "cdf") and not policies:
+    if mode != "bound" and not policies:
         raise ConfigError("policy: need at least one policy")
     if mode == "bound" and not taus:
         raise ConfigError("tau_us: bound mode needs at least one target delay")
+
+    if trace_path is None:
+        sizes, = parse_model("sizes", sizes_text)
+        lams = [(traffic.rate_to_lambda(r * 1e9, sizes),) for r in rates]
+        sources = [(r, TrafficSpec(arrival=arrival, sizes=sizes))
+                   for r, arrival in zip(rates, parse_model("arrival", arrival_text, lams))]
+    else:
+        # looked up on the module, where tracing and tests wrap it
+        trace = traffic.load_trace(trace_path)
+        if trace.n_frames < 2 or trace.times[-1] == trace.times[0]:
+            raise ConfigError(f"trace {trace_path}: {trace.n_frames} frame(s) spanning 0 us; "
+                              "need at least two frames over a positive time span")
+        sources = [(trace.mean_rate_bps / 1e9, TrafficSpec(trace=trace))]
+
+    if horizon_time is not None:
+        horizon = {"time_us": horizon_time}
+    elif horizon_frames is not None or trace_path is None:
+        horizon = {"n_frames": horizon_frames or DEFAULT_HORIZON_FRAMES}
+    else:
+        horizon = {}                    # replay the whole trace
     for r in rates:
         if r * 1e9 >= params.line_rate:
-            print(
-                f"warning: rate {r:g} Gb/s >= line rate "
-                f"{params.line_rate / 1e9:g} Gb/s, expect overload",
-                file=sys.stderr,
-            )
-
-    horizon_frames = cfg.get_int("horizon_frames")
-    horizon_time = cfg.get_float("horizon_time_us")
-    if horizon_frames is not None and horizon_time is not None:
-        raise ConfigError("give horizon_frames or horizon_time_us, not both")
-    if horizon_frames is None and horizon_time is None and trace_path is None:
-        horizon_frames = DEFAULT_HORIZON_FRAMES
-
-    seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
-    # looked up on the module, where tracing and tests wrap it
-    trace = None if trace_path is None else traffic.load_trace(trace_path)
-    if trace is not None and (trace.n_frames < 2 or trace.times[-1] == trace.times[0]):
-        raise ConfigError(f"trace {trace_path}: {trace.n_frames} frame(s) spanning 0 us; "
-                          "need at least two frames over a positive time span")
+            print(f"warning: rate {r:g} Gb/s >= line rate {params.line_rate / 1e9:g} Gb/s, "
+                  "expect overload", file=sys.stderr)
 
     return ExperimentSpec(
         mode=mode,
-        rates_gbps=rates,
         taus_us=taus,
         policies=policies,
-        arrival_text=arrival_text,
-        sizes=sizes,
-        trace=trace,
+        loads=tuple(Load(rate, tspec, _stats_for(tspec, params)) for rate, tspec in sources),
         params=params,
-        horizon_frames=horizon_frames,
-        horizon_time_us=horizon_time,
-        warmup_cycles=cfg.get_int("warmup_cycles", simcore.DEFAULT_WARMUP_CYCLES),
-        cdf_bin_us=cfg.get_float("cdf_bin_us", 1.0),
-        seed=seed,
+        horizon=horizon,
+        warmup_cycles=warmup_cycles,
+        cdf_bin_us=cdf_bin_us,
+        seed=args.seed if args.seed is not None else cfg.get_int("seed", 0),
         out_dir=Path(args.out),
-        jobs=max(1, args.jobs),
+        jobs=args.jobs if mode in SIM_MODES else 1,     # closed forms run in-process
     )
 
 
@@ -183,20 +202,7 @@ def _policy_line(text: str, taus: tuple[float, ...]) -> tuple[PolicyConfig, ...]
     return grid if grid[0].is_dynamic else grid[:1]
 
 
-# --------------------------------------------------------------------------
-# per-point computations
-# --------------------------------------------------------------------------
-
-def _traffic_for(spec: ExperimentSpec, rate_gbps: float | None) -> traffic.TrafficSpec:
-    if spec.trace is not None:
-        return traffic.TrafficSpec(trace=spec.trace)
-    lam = traffic.rate_to_lambda(rate_gbps * 1e9, spec.sizes)
-    return traffic.TrafficSpec(
-        arrival=parse_arrival(spec.arrival_text, lam), sizes=spec.sizes
-    )
-
-
-def _stats_for(tspec: traffic.TrafficSpec, params: EeeParams) -> TrafficStats | None:
+def _stats_for(tspec: TrafficSpec, params: EeeParams) -> TrafficStats | None:
     try:
         if tspec.is_trace:
             return traffic.measured_stats(tspec.trace.times, tspec.trace.sizes, params.line_rate)
@@ -204,6 +210,10 @@ def _stats_for(tspec: traffic.TrafficSpec, params: EeeParams) -> TrafficStats | 
     except ValueError:
         return None  # e.g. overloaded: no stable-model stats
 
+
+# --------------------------------------------------------------------------
+# per-point computations
+# --------------------------------------------------------------------------
 
 def _analytic_values(policy: PolicyConfig, params: EeeParams, stats: TrafficStats | None):
     """Closed-form row values of one point: (phi, delay, toff, V, Q_w), nan where none."""
@@ -215,106 +225,81 @@ def _analytic_values(policy: PolicyConfig, params: EeeParams, stats: TrafficStat
 
 @dataclass(frozen=True)
 class _Point:
-    """One grid point; picklable payload for worker processes."""
+    """One grid point with what its row needs; the picklable payload of a worker process."""
 
-    spec: ExperimentSpec
+    mode: str
     policy: PolicyConfig
-    rate_gbps: float | None
+    load: Load
     tau: float | None
-    index: int
+    index: int                # numbered across the experiment, for the point's seed
+    params: EeeParams
+    horizon: dict
+    warmup_cycles: int
+    cdf_bin_us: float
+    seed: int
 
 
-def _points(spec: ExperimentSpec, line: tuple[PolicyConfig, ...], start_index: int) -> list[_Point]:
-    rates = list(spec.rates_gbps) if spec.trace is None else [None]
-    pts = []
-    idx = start_index
-    for rate in rates:
-        for policy in line:
-            tau = policy.tau if policy.is_dynamic else None
-            pts.append(_Point(spec, policy, rate, tau, idx))
-            idx += 1
-    return pts
+def _grid(spec: ExperimentSpec) -> list[tuple[str, list[_Point]]]:
+    """The points of each output CSV, in row order."""
+    if spec.mode == "bound":
+        lines = [("bound", [(PolicyConfig.none(), tau) for tau in spec.taus_us])]
+    else:
+        lines = [(f"{spec.mode}_{line[0].label()}",
+                  [(p, p.tau if p.is_dynamic else None) for p in line])
+                 for line in spec.policies]
+    index = itertools.count()
+    return [(name, [_Point(spec.mode, policy, load, tau, next(index), spec.params, spec.horizon,
+                           spec.warmup_cycles, spec.cdf_bin_us, spec.seed)
+                    for load in spec.loads for policy, tau in cells])
+            for name, cells in lines]
 
 
-def _run_sim(point: _Point):
-    spec = point.spec
-    tspec = _traffic_for(spec, point.rate_gbps)
-    seed = np.random.SeedSequence([spec.seed, point.index])
-    kwargs = {}
-    if spec.trace is None or spec.horizon_frames is not None or spec.horizon_time_us is not None:
-        if spec.horizon_time_us is not None:
-            kwargs["time_us"] = spec.horizon_time_us
-        else:
-            kwargs["n_frames"] = spec.horizon_frames or DEFAULT_HORIZON_FRAMES
+def _simulate(point: _Point) -> simcore.SimReport:
     return simcore.run(
-        tspec, point.policy, spec.params,
-        seed=seed, warmup_cycles=spec.warmup_cycles, **kwargs,
-    ), tspec
-
-
-def _row_base(point: _Point) -> dict:
-    rate = point.rate_gbps
-    if rate is None and point.spec.trace is not None:
-        rate = point.spec.trace.mean_rate_bps / 1e9
-    return {c: None for c in COLUMNS} | {"rate_gbps": rate, "tau_us": point.tau}
-
-
-def _analytic_row(point: _Point) -> dict:
-    spec = point.spec
-    row = _row_base(point)
-    tspec = _traffic_for(spec, point.rate_gbps)
-    stats = _stats_for(tspec, spec.params)
-    phi, delay, toff, v, qw = _analytic_values(point.policy, spec.params, stats)
-    row.update(phi_analytic=phi, delay_analytic_us=delay, toff_analytic_us=toff,
-               mean_V_us=v, mean_Qw=qw)
-    if stats is not None and point.tau is not None:
-        row["bound_phi"] = analytic.energy_lower_bound(point.tau, spec.params, stats)
-    return row
-
-
-def _bound_row(point: _Point) -> dict:
-    spec = point.spec
-    row = _row_base(point)
-    tspec = _traffic_for(spec, point.rate_gbps)
-    stats = _stats_for(tspec, spec.params)
-    if stats is not None:
-        t_up = analytic.toff_upper_bound(point.tau, spec.params, stats)
-        row["toff_analytic_us"] = None if math.isnan(t_up) else t_up
-        row["bound_phi"] = analytic.energy_lower_bound(point.tau, spec.params, stats)
-    return row
-
-
-def _sim_row(point: _Point) -> dict:
-    spec = point.spec
-    row = _row_base(point)
-    report, tspec = _run_sim(point)
-    stats = _stats_for(tspec, spec.params)
-    phi, delay, toff, _, _ = _analytic_values(point.policy, spec.params, stats)
-    row.update(phi_analytic=phi, delay_analytic_us=delay, toff_analytic_us=toff)
-    row.update(
-        phi_measured=report.measured_phi,
-        delay_measured_us=report.mean_delay_us,
-        toff_measured_us=report.mean_toff_us,
-        mean_V_us=report.mean_planned_v_us,
-        mean_Qw=report.mean_planned_qw,
-        suspend_frac=report.suspend_fraction,
-        seed=spec.seed,
+        point.load.traffic, point.policy, point.params,
+        seed=np.random.SeedSequence([point.seed, point.index]),
+        warmup_cycles=point.warmup_cycles, **point.horizon,
     )
-    if not report.warmed_up:
-        where = "the trace" if point.rate_gbps is None else f"{point.rate_gbps:g} Gb/s"
-        tau = "" if point.tau is None else f", tau {point.tau:g} us"
-        print(f"warning: {point.policy.label()} at {where}{tau}: {report.n_cycles} cycles "
-              f"for warmup_cycles = {spec.warmup_cycles}; the row averages over every cycle",
-              file=sys.stderr)
-    if stats is not None and not math.isnan(report.mean_delay_us) and report.mean_delay_us > 0:
-        row["bound_phi"] = analytic.energy_lower_bound(report.mean_delay_us, spec.params, stats)
+
+
+def _row(point: _Point) -> dict:
+    """The CSV row of one point: the columns its mode fills, the others blank."""
+    params, stats = point.params, point.load.stats
+    row = {c: None for c in COLUMNS} | {"rate_gbps": point.load.rate_gbps, "tau_us": point.tau}
+    bound_at = point.tau                # the delay bound_phi is evaluated at
+    if point.mode == "bound":
+        if stats is not None:
+            row["toff_analytic_us"] = analytic.toff_upper_bound(point.tau, params, stats)
+    else:
+        phi, delay, toff, v, qw = _analytic_values(point.policy, params, stats)
+        row.update(phi_analytic=phi, delay_analytic_us=delay, toff_analytic_us=toff,
+                   mean_V_us=v, mean_Qw=qw)
+    if point.mode in SIM_MODES:
+        report = _simulate(point)
+        row.update(
+            phi_measured=report.measured_phi,
+            delay_measured_us=report.mean_delay_us,
+            toff_measured_us=report.mean_toff_us,
+            mean_V_us=report.mean_planned_v_us,
+            mean_Qw=report.mean_planned_qw,
+            suspend_frac=report.suspend_fraction,
+            seed=point.seed,
+        )
+        if not report.warmed_up:
+            load = point.load
+            where = "the trace" if load.traffic.is_trace else f"{load.rate_gbps:g} Gb/s"
+            tau = "" if point.tau is None else f", tau {point.tau:g} us"
+            print(f"warning: {point.policy.label()} at {where}{tau}: {report.n_cycles} cycles "
+                  f"for warmup_cycles = {point.warmup_cycles}; the row averages over every cycle",
+                  file=sys.stderr)
+        bound_at = report.mean_delay_us if report.mean_delay_us > 0 else None
+    if stats is not None and bound_at is not None:
+        row["bound_phi"] = analytic.energy_lower_bound(bound_at, params, stats)
     return row
 
 
 def _cdf_point(point: _Point):
-    report, _ = _run_sim(point)
-    edges, cdf = simcore.delay_cdf(report, point.spec.cdf_bin_us)
-    return edges, cdf
+    return simcore.delay_cdf(_simulate(point), point.cdf_bin_us)
 
 
 # --------------------------------------------------------------------------
@@ -340,57 +325,32 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
 
 
 def _cdf_filename(point: _Point) -> str:
-    label = point.policy.label()
-    rate = "trace" if point.rate_gbps is None else f"{point.rate_gbps:g}gbps"
+    load = point.load
+    rate = "trace" if load.traffic.is_trace else f"{load.rate_gbps:g}gbps"
     tau = "" if point.tau is None else f"_{point.tau:g}us"
-    return f"cdf_{label}_{rate}{tau}.csv"
+    return f"cdf_{point.policy.label()}_{rate}{tau}.csv"
 
 
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
     """Execute all grid points and write CSVs; returns the written paths."""
+    groups = _grid(spec)
+    n_points = sum(len(points) for _, points in groups)
+    if spec.mode == "sim" and n_points > 1:
+        print(f"note: sim mode with {n_points} grid points; use sweep for grids",
+              file=sys.stderr)
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-
-    if spec.mode == "bound":
-        rates = list(spec.rates_gbps) if spec.trace is None else [None]
-        pts = [_Point(spec, PolicyConfig.none(), r, t, 0)
-               for r in rates for t in spec.taus_us]
-        path = spec.out_dir / "bound.csv"
-        _write_csv(path, COLUMNS, [_bound_row(p) for p in pts])
-        return [path]
-
-    # one CSV per policy; grid points numbered across the whole experiment
-    # so per-point seeds stay stable
-    index = 0
-    groups = []
-    for line in spec.policies:
-        pts = _points(spec, line, index)
-        index += len(pts)
-        groups.append((line[0], pts))
-
-    if spec.mode == "analytic":
-        for pol, pts in groups:
-            path = spec.out_dir / f"analytic_{pol.label()}.csv"
-            _write_csv(path, COLUMNS, [_analytic_row(p) for p in pts])
-            written.append(path)
-        return written
-
-    if spec.mode == "cdf":
-        for pol, pts in groups:
-            results = _map_points(_cdf_point, pts, spec.jobs)
-            for point, (edges, cdf) in zip(pts, results):
+    for name, points in groups:
+        if spec.mode == "cdf":
+            for point, (edges, cdf) in zip(points, _map_points(_cdf_point, points, spec.jobs)):
                 path = spec.out_dir / _cdf_filename(point)
                 rows = [{"delay_us": float(e), "cdf": float(c)} for e, c in zip(edges, cdf)]
                 _write_csv(path, ["delay_us", "cdf"], rows)
                 written.append(path)
-        return written
-
-    # sim / sweep
-    for pol, pts in groups:
-        rows = _map_points(_sim_row, pts, spec.jobs)
-        path = spec.out_dir / f"{spec.mode}_{pol.label()}.csv"
-        _write_csv(path, COLUMNS, rows)
-        written.append(path)
+        else:
+            path = spec.out_dir / f"{name}.csv"
+            _write_csv(path, COLUMNS, _map_points(_row, points, spec.jobs))
+            written.append(path)
     return written
 
 
@@ -429,15 +389,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        cfg = Config.load(args.config)
-        spec = build_spec(args.mode, cfg, args)
-        if spec.mode == "sim":
-            n_points = sum(len(_points(spec, line, 0)) for line in spec.policies)
-            if n_points > 1:
-                print(
-                    f"note: sim mode with {n_points} grid points; "
-                    "use sweep for grids", file=sys.stderr,
-                )
+        spec = build_spec(args.mode, Config.load(args.config), args)
         written = run_experiment(spec)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,7 +66,7 @@ RHO_CLAMP = 0.99
 # Per-cycle smoothing weight.  Plans react within ~1/weight cycles; pushing
 # the weight higher makes the planned threshold jitter cycle-to-cycle, which
 # inflates the realized mean delay (long-plan cycles hold more frames and
-# each waits longer), so the default favors a steadier estimate.
+# each waits longer), so the weight favors a steadier estimate.
 DEFAULT_EWMA_WEIGHT = 0.15
 
 
@@ -90,7 +90,6 @@ class PolicyConfig:
     qw: int = 0               # static threshold, frames
     tau: float = 0.0          # delay target for adaptive variants, us
     solver: str = "approx"    # adaptive threshold solver: approx | cubic
-    ewma_weight: float = DEFAULT_EWMA_WEIGHT
 
     def __post_init__(self):
         if not (math.isfinite(self.v) and math.isfinite(self.tau)):
@@ -103,8 +102,6 @@ class PolicyConfig:
             raise ValueError("delay target tau must be positive")
         if self.solver not in ("approx", "cubic"):
             raise ValueError(f"unknown threshold solver {self.solver!r}")
-        if not 0.0 < self.ewma_weight <= 1.0:
-            raise ValueError("ewma_weight must be in (0, 1]")
 
     @classmethod
     def none(cls) -> "PolicyConfig":
@@ -124,14 +121,12 @@ class PolicyConfig:
         return cls(kind=KIND_STATIC_DUAL, v=float(v), qw=int(qw))
 
     @classmethod
-    def dynamic_timer(cls, tau: float, ewma_weight: float = DEFAULT_EWMA_WEIGHT) -> "PolicyConfig":
-        return cls(kind=KIND_DYNAMIC_TIMER, tau=float(tau), ewma_weight=ewma_weight)
+    def dynamic_timer(cls, tau: float) -> "PolicyConfig":
+        return cls(kind=KIND_DYNAMIC_TIMER, tau=float(tau))
 
     @classmethod
-    def dynamic_size(cls, tau: float, solver: str = "approx",
-                     ewma_weight: float = DEFAULT_EWMA_WEIGHT) -> "PolicyConfig":
-        return cls(kind=KIND_DYNAMIC_SIZE, tau=float(tau), solver=solver,
-                   ewma_weight=ewma_weight)
+    def dynamic_size(cls, tau: float, solver: str = "approx") -> "PolicyConfig":
+        return cls(kind=KIND_DYNAMIC_SIZE, tau=float(tau), solver=solver)
 
     @classmethod
     def parse(cls, text: str, tau: float | None = None) -> "PolicyConfig":

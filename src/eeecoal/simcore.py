@@ -29,6 +29,7 @@ import numpy as np
 
 from .analytic import EeeParams
 from .policy import (
+    DEFAULT_EWMA_WEIGHT,
     MODE_NAMES,
     MODE_SUSPEND,
     PolicyConfig,
@@ -55,7 +56,7 @@ class CycleTable(NamedTuple):
     mu_hat: np.ndarray
 
 
-def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma_w, ts, tw):
+def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
     """Serve the frames; returns (per-frame delays, cycle table, end instant)."""
     n = arr.shape[0]
     delays = np.empty(n, dtype=np.float64)
@@ -152,7 +153,7 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma_w, ts,
 
         est_frames, est_duration, est_service, est_valid = _estimate_update(
             est_frames, est_duration, est_service, est_valid,
-            float(j - i), depart - t_empty, svc_sum, ewma_w)
+            float(j - i), depart - t_empty, svc_sum, DEFAULT_EWMA_WEIGHT)
 
         t_empty = depart
         i = j
@@ -285,7 +286,6 @@ def run(traffic: TrafficSpec, policy: PolicyConfig, params: EeeParams = EeeParam
         float(policy.qw),
         float(policy.tau),
         policy.solver == "cubic",
-        float(policy.ewma_weight),
         params.ts,
         params.tw,
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from eeecoal.analytic import EeeParams, delay_size_based
-from eeecoal.policy import PolicyConfig, _estimate_update, _plan_scalar
+from eeecoal.policy import DEFAULT_EWMA_WEIGHT, PolicyConfig, _estimate_update, _plan_scalar
 from eeecoal.simcore import StateResidency
 from eeecoal.traffic import (
     Trace,
@@ -438,7 +438,7 @@ def run_summary(traffic: TrafficSpec, policy: PolicyConfig, params: EeeParams = 
         float(policy.qw),
         float(policy.tau),
         policy.solver == "cubic",
-        float(policy.ewma_weight),
+        DEFAULT_EWMA_WEIGHT,
         params.ts,
         params.tw,
         int(warmup_cycles),

@@ -425,6 +425,36 @@ horizon_frames = 2000
         assert named in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("mode, fault, named", [
+        ("sweep", {"horizon_frames": "0"}, "horizon_frames"),
+        ("sweep", {"horizon_frames": "-5"}, "horizon_frames"),
+        ("sweep", {"horizon_frames": None, "horizon_time_us": "-1"}, "horizon_time_us"),
+        ("sweep", {"warmup_cycles": "-1"}, "warmup_cycles"),
+        ("cdf", {"cdf_bin_us": "0"}, "cdf_bin_us"),
+        ("sweep", {"cdf_bin_us": "-0.5"}, "cdf_bin_us"),
+        ("bound", {"tau_us": "-3"}, "tau_us"),
+        ("sweep", {"tau_us": "0"}, "tau_us"),
+        ("sweep", {"rate_gbps": "0"}, "rate_gbps"),
+        ("analytic", {"rate_gbps": "-2"}, "rate_gbps"),
+        ("sweep", {"--jobs": "0"}, "--jobs"),
+        ("sweep", {"arrival": "foo"}, "arrival"),
+        ("sweep", {"arrival": "pareto(1.5)"}, "arrival 'pareto(1.5)'"),
+        ("sweep", {"arrival": "pareto(x)"}, "arrival 'pareto(x)'"),
+    ], ids=["frames-0", "frames-neg", "time-neg", "warmup-neg", "cdf-bin-0", "cdf-bin-neg",
+            "bound-tau-neg", "tau-0", "rate-0", "rate-neg", "jobs-0", "arrival-foo",
+            "pareto-shape", "pareto-text"])
+    def test_config_fault_fails_before_any_output(self, tmp_path, capsys, mode, fault, named):
+        pairs = {"arrival": "poisson", "sizes": "fixed(1500)", "rate_gbps": "5", "tau_us": "16",
+                 "policy": "static_size(12)", "horizon_frames": "2000"} | fault
+        jobs = pairs.pop("--jobs", "1")
+        cfg = write_cfg(tmp_path / "e.cfg",
+                        "".join(f"{k} = {v}\n" for k, v in pairs.items() if v is not None))
+        out = tmp_path / "o"
+        assert main([mode, "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("error: ") and named in error
+        assert not out.exists()
+
     def test_unwritable_output(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "e.cfg", BASE_CFG)
         blocker = tmp_path / "blocker"
@@ -472,6 +502,17 @@ BAD_LINE = st.one_of(
               st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999", "abc", "5 Gb/s", "0x10"])),
     POLICY_TEXT.filter(lambda t: t.strip() and "\n" not in t and "\r" not in t)
     .map(lambda t: f"policy = {t}"),
+    # these replace the base config's line of the same key
+    st.builds("arrival = {}".format, st.sampled_from([
+        "foo", "pareto", "pareto(1.5)", "pareto(x)", "pareto(nan)", "pareto(inf)",
+        "pareto(2.5, 1)", "poisson(1)"])),
+    st.builds("sizes = {}".format, st.sampled_from([
+        "fixed", "fixed(63)", "fixed(x)", "fixed(1e3)", "bimodal(0.5, 100)",
+        "bimodal(2, 100, 1500)", "uniform(64)"])),
+    st.builds("{} = {}".format, st.sampled_from(["horizon_frames", "warmup_cycles", "cdf_bin_us"]),
+              st.sampled_from(["-1", "x", "nan", "1e999", ""])),
+    st.sampled_from(["horizon_frames = 0", "horizon_frames = 1.5", "warmup_cycles = 1.5",
+                     "cdf_bin_us = 0", "cdf_bin_us = -0.5"]),
 )
 FUZZ_BASE_CFG = """\
 arrival = poisson
@@ -480,8 +521,11 @@ rate_gbps = 5
 tau_us = 16
 policy = static_size(12)
 horizon_frames = 500
+warmup_cycles = 10
+cdf_bin_us = 1
 seed = 1
 """
+REPLACED_KEYS = ("arrival", "sizes", "horizon_frames", "warmup_cycles", "cdf_bin_us")
 
 
 def _rejects(text: str) -> bool:
@@ -526,15 +570,18 @@ class TestGrammarFuzz:
                 pass
 
     @given(bad=BAD_LINE)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_sweep_on_bad_file_exits_2_without_csv(self, bad):
         if bad.startswith("policy = "):
             policy = bad.removeprefix("policy = ")
             if not _rejects(policy):
                 return
+        key = bad.partition("=")[0].strip()
+        kept = [line for line in FUZZ_BASE_CFG.splitlines()
+                if key not in REPLACED_KEYS or not line.startswith(f"{key} =")]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "e.cfg"
-            path.write_text(FUZZ_BASE_CFG + bad + "\n", encoding="utf-8")
+            path.write_text("\n".join(kept + [bad]) + "\n", encoding="utf-8")
             out = Path(tmp) / "out"
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -542,4 +589,4 @@ class TestGrammarFuzz:
             assert code == 2, bad
             assert err.getvalue().startswith("error:")
             assert "Traceback" not in err.getvalue()
-            assert not list(out.glob("*.csv"))
+            assert not out.exists()

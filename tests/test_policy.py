@@ -100,8 +100,6 @@ class TestPlanCycle:
             PolicyConfig.dynamic_timer(-1.0)
         with pytest.raises(ValueError):
             PolicyConfig.dynamic_size(16.0, solver="newton")
-        with pytest.raises(ValueError):
-            PolicyConfig.dynamic_timer(16.0, ewma_weight=0.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 PolicyConfig.static_timer(bad)
