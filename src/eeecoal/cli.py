@@ -22,7 +22,6 @@ import csv
 import itertools
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -144,12 +143,20 @@ def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
         raise ConfigError("give horizon_frames or horizon_time_us, not both")
 
     policies = tuple(_policy_line(p, taus) for p in cfg.get_str_list("policy"))
+    labels = set()
     for line in policies:
         for policy in line:
             policy.validate_against(params)
+        # the label names the line's output files
+        if line[0].label() in labels:
+            raise ConfigError(f"policy: two lines share the label {line[0].label()!r}; "
+                              "their outputs would overwrite each other")
+        labels.add(line[0].label())
 
     if trace_path is None and not rates:
         raise ConfigError("rate_gbps: need at least one rate (or use a trace)")
+    if trace_path is not None and rates:
+        raise ConfigError("rate_gbps: a trace is replayed at its own rate; drop rate_gbps")
     if mode != "bound" and not policies:
         raise ConfigError("policy: need at least one policy")
     if mode == "bound" and not taus:
@@ -166,6 +173,9 @@ def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
         if trace.n_frames < 2 or trace.times[-1] == trace.times[0]:
             raise ConfigError(f"trace {trace_path}: {trace.n_frames} frame(s) spanning 0 us; "
                               "need at least two frames over a positive time span")
+        if horizon_time is not None and horizon_time < trace.times[0]:
+            raise ConfigError(f"horizon_time_us: {horizon_time:g} us ends before the "
+                              f"trace's first frame at {trace.times[0]:g} us")
         sources = [(trace.mean_rate_bps / 1e9, TrafficSpec(trace=trace))]
 
     if horizon_time is not None:
@@ -357,6 +367,8 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
 def _map_points(fn, pts, jobs):
     if jobs <= 1 or len(pts) <= 1:
         return [fn(p) for p in pts]
+    # imported here: it adds to the start-up of every run that never uses it
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, pts))
 

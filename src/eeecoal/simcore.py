@@ -12,7 +12,12 @@ at ``phi_off``.
 
 Because wake conditions depend only on arrival times, the whole run reduces
 to a single pass over the (pre-drawn) arrival array; the pass is the hot
-kernel, plain Python over memoryviews of the arrays.  It records two things
+kernel, plain Python over memoryviews of the arrays.  A cycle's first frame
+starts at the later of its arrival and the end of the wake transition; each
+later frame of the busy period arrived before the previous departure, so it
+starts at that departure, and the loop reads its arrival and service time
+once.  ``none`` and the static policies plan the same wake rule every
+cycle, so the kernel plans them once per run.  It records two things
 exactly: each frame's queuing delay (service start minus arrival) and one
 row per cycle, the cycle table (``CycleTable``: start, first frame, planned
 mode, V and Q_w, wake instant, and the estimate the plan used).  Every
@@ -75,6 +80,13 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
     est_service = 0.0
     est_valid = False
 
+    # kinds 0-3 (none and the static ones) plan the same (mode, V, Q_w) every
+    # cycle, so they plan once; looked up on the module, where tracing wraps it
+    static = kind <= 3
+    if static:
+        plan = _plan_scalar(kind, v_static, qw_static, tau, use_cubic,
+                            0.0, 0.0, False, ts, tw)
+
     i = 0
     t_empty = 0.0
     c = 0
@@ -96,8 +108,8 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
         else:
             plan_lam = 0.0
             plan_mu = 0.0
-        mode, pv, pq = _plan_scalar(kind, v_static, qw_static, tau, use_cubic,
-                                    plan_lam, plan_mu, est_valid, ts, tw)
+        mode, pv, pq = plan if static else _plan_scalar(
+            kind, v_static, qw_static, tau, use_cubic, plan_lam, plan_mu, est_valid, ts, tw)
 
         t_first = arr[i]
         wake_start = t_empty
@@ -130,17 +142,24 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
             wake_start = trigger
             depart = wake_start + tw
 
-        # drain FIFO until the buffer empties
-        svc_sum = 0.0
-        j = i
-        while True:
-            start = depart if depart > arr[j] else arr[j]
-            dly[j] = start - arr[j]
-            depart = start + svc[j]
-            svc_sum += svc[j]
-            j += 1
-            if j >= n or arr[j] >= depart:
+        # drain FIFO until the buffer empties: the first frame starts when
+        # both it and the link are ready; every later one arrived before the
+        # previous departure, so it starts at that departure
+        if depart < t_first:
+            depart = t_first
+        dly[i] = depart - t_first
+        svc_sum = svc[i]
+        depart += svc_sum
+        j = i + 1
+        while j < n:
+            a = arr[j]
+            if a >= depart:
                 break
+            dly[j] = depart - a
+            s = svc[j]
+            depart += s
+            svc_sum += s
+            j += 1
 
         c_start[c] = t_empty
         c_first[c] = i

@@ -13,7 +13,7 @@ import numpy as np
 
 from eeecoal.analytic import EeeParams, delay_size_based
 from eeecoal.policy import DEFAULT_EWMA_WEIGHT, PolicyConfig, _estimate_update, _plan_scalar
-from eeecoal.simcore import StateResidency
+from eeecoal.simcore import CycleTable, StateResidency
 from eeecoal.traffic import (
     Trace,
     TraceFormatError,
@@ -492,3 +492,112 @@ def run_summary(traffic: TrafficSpec, policy: PolicyConfig, params: EeeParams = 
         cycles=cyc if record_cycles else None,
         sizes=sizes if record_cycles else None,
     )
+
+
+def sim_kernel_table(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
+    """The cycle-table kernel that takes the ``max`` for every frame and plans every cycle.
+
+    Returns (per-frame delays, cycle table, end instant), as ``simcore._sim_kernel``.
+    """
+    n = arr.shape[0]
+    delays = np.empty(n, dtype=np.float64)
+    # a cycle serves at least one frame, so n rows are enough
+    index = np.int32 if n < 2**31 else np.int64
+    table = CycleTable(*(np.empty(n, dtype=dt) for dt in (
+        np.float64, index, np.int8, np.float64, np.float64, np.float64, np.float64, np.float64)))
+    # Index through memoryviews: each read is a Python float, so the per-frame
+    # and per-cycle arithmetic (down to the planner's solvers) never runs on
+    # numpy scalars, which is several times slower.  No copy is made.
+    arr, svc, dly = memoryview(arr), memoryview(svc), memoryview(delays)
+    c_start, c_first, c_mode, c_v, c_qw, c_wake, c_lam, c_mu = map(memoryview, table)
+
+    est_frames = 0.0
+    est_duration = 0.0
+    est_service = 0.0
+    est_valid = False
+
+    i = 0
+    t_empty = 0.0
+    c = 0
+    while i < n:
+        # cold start: until a cycle with >= 2 frames completes, seed the
+        # estimate from the first positive interarrival gap and frame size
+        if not est_valid and i >= 2:
+            for k in range(1, i):
+                gap = arr[k] - arr[k - 1]
+                if gap > 0.0 and svc[0] > 0.0:
+                    est_frames = 1.0
+                    est_duration = gap
+                    est_service = svc[0]
+                    est_valid = True
+                    break
+        if est_valid:
+            plan_lam = est_frames / est_duration
+            plan_mu = est_frames / est_service
+        else:
+            plan_lam = 0.0
+            plan_mu = 0.0
+        mode, pv, pq = _plan_scalar(kind, v_static, qw_static, tau, use_cubic,
+                                    plan_lam, plan_mu, est_valid, ts, tw)
+
+        t_first = arr[i]
+        wake_start = t_empty
+        if mode == 0:
+            # suspended: stay active-idle until the next arrival
+            depart = t_empty
+        else:
+            sleep_end = t_empty + ts
+            if mode == 1:
+                trigger = t_first + pv
+            else:
+                qi = i + int(pq) - 1
+                if qi < n:
+                    th_trigger = arr[qi]
+                    if th_trigger < sleep_end:
+                        th_trigger = sleep_end
+                else:
+                    # stream ends before the threshold fills: wake at the
+                    # final arrival so the run drains (truncation artifact)
+                    th_trigger = arr[n - 1]
+                    if th_trigger < sleep_end:
+                        th_trigger = sleep_end
+                    if mode == 3:
+                        th_trigger = math.inf
+                if mode == 2:
+                    trigger = th_trigger
+                else:
+                    t_timer = t_first + pv
+                    trigger = t_timer if t_timer < th_trigger else th_trigger
+            wake_start = trigger
+            depart = wake_start + tw
+
+        # drain FIFO until the buffer empties
+        svc_sum = 0.0
+        j = i
+        while True:
+            start = depart if depart > arr[j] else arr[j]
+            dly[j] = start - arr[j]
+            depart = start + svc[j]
+            svc_sum += svc[j]
+            j += 1
+            if j >= n or arr[j] >= depart:
+                break
+
+        c_start[c] = t_empty
+        c_first[c] = i
+        c_mode[c] = mode
+        c_v[c] = pv
+        c_qw[c] = pq
+        c_wake[c] = wake_start
+        c_lam[c] = plan_lam if est_valid else math.nan
+        c_mu[c] = plan_mu if est_valid else math.nan
+
+        est_frames, est_duration, est_service, est_valid = _estimate_update(
+            est_frames, est_duration, est_service, est_valid,
+            float(j - i), depart - t_empty, svc_sum, DEFAULT_EWMA_WEIGHT)
+
+        t_empty = depart
+        i = j
+        c += 1
+
+    return delays, CycleTable(*(col[:c] for col in table)), t_empty

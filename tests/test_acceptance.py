@@ -1,9 +1,11 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 PASS/FAIL line.  The simulation grids (1e6 frames per point) are shared
-across criteria through module-scoped fixtures; the whole module runs in a
-few minutes on a laptop."""
+across criteria through module-scoped fixtures, and their points run on two
+worker processes; the whole module runs in a few minutes on a laptop."""
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from eeecoal.cli import main as cli_main
 from conftest import LAM_5G, W0_5G
 
 N_FRAMES = 1_000_000
+WORKERS = 2
 PARAMS = EeeParams()
 TS, TW = PARAMS.ts, PARAMS.tw
 
@@ -57,29 +60,40 @@ def _measure(spec, policy, seed):
     }
 
 
+def _measure_all(points):
+    """{key: (spec, policy, seed)} -> {key: measurement}, in the same key order.
+
+    Each point is an independent seeded run, so where it runs does not
+    change its result.
+    """
+    spawn = multiprocessing.get_context("spawn")    # workers inherit no threads
+    with ProcessPoolExecutor(max_workers=WORKERS, mp_context=spawn) as pool:
+        return dict(zip(points, pool.map(_measure, *zip(*points.values()))))
+
+
 @pytest.fixture(scope="module")
 def static_grid():
     """static_timer(24) and static_size(12), Poisson 1500 B, rates 1..9."""
-    grid = {}
+    points = {}
     for rate in range(1, 10):
         spec = poisson_1500(rate)
-        grid[("tb", rate)] = _measure(spec, PolicyConfig.static_timer(24.0), 30000 + rate)
-        grid[("sb", rate)] = _measure(spec, PolicyConfig.static_size(12), 31000 + rate)
-    return grid
+        points[("tb", rate)] = (spec, PolicyConfig.static_timer(24.0), 30000 + rate)
+        points[("sb", rate)] = (spec, PolicyConfig.static_size(12), 31000 + rate)
+    return _measure_all(points)
 
 
 @pytest.fixture(scope="module")
 def dynamic_grid():
     """both adaptive policies, tau in {16,32,64}, rates 1..8."""
-    grid = {}
+    points = {}
     for tau in (16.0, 32.0, 64.0):
         for rate in range(1, 9):
             spec = poisson_1500(rate)
-            grid[("tb", tau, rate)] = _measure(
+            points[("tb", tau, rate)] = (
                 spec, PolicyConfig.dynamic_timer(tau), 50000 + int(tau) * 10 + rate)
-            grid[("sb", tau, rate)] = _measure(
+            points[("sb", tau, rate)] = (
                 spec, PolicyConfig.dynamic_size(tau), 51000 + int(tau) * 10 + rate)
-    return grid
+    return _measure_all(points)
 
 
 def test_criterion_1_controller_design_points(capsys):
@@ -249,8 +263,7 @@ def test_criterion_8_delay_tail_shapes(capsys):
 
 
 def test_criterion_9_pareto_bimodal_tracking(capsys):
-    failures = []
-    worst = 0.0
+    points = {}
     for tau in (32.0, 64.0):
         for rate in range(2, 9):
             spec = pareto_bimodal(rate)
@@ -258,12 +271,14 @@ def test_criterion_9_pareto_bimodal_tracking(capsys):
                 ("tb", PolicyConfig.dynamic_timer, 90000),
                 ("sb", PolicyConfig.dynamic_size, 91000),
             ):
-                rep = run(spec, mk(tau), PARAMS, n_frames=N_FRAMES,
-                          seed=base + int(tau) * 10 + rate)
-                err = rep.mean_delay_us / tau - 1.0
-                worst = max(worst, abs(err))
-                if abs(err) > 0.10:
-                    failures.append(f"{pol} tau{tau:g} r{rate} {err:+.2%}")
+                points[(pol, tau, rate)] = (spec, mk(tau), base + int(tau) * 10 + rate)
+    failures = []
+    worst = 0.0
+    for (pol, tau, rate), m in _measure_all(points).items():
+        err = m["delay"] / tau - 1.0
+        worst = max(worst, abs(err))
+        if abs(err) > 0.10:
+            failures.append(f"{pol} tau{tau:g} r{rate} {err:+.2%}")
     announce(capsys, 9, not failures,
              f"worst tracking error {worst:.2%}" if not failures else "; ".join(failures))
     assert not failures

@@ -338,6 +338,10 @@ seed = 5
             assert f.read_bytes() == (b / f.name).read_bytes()
 
 
+# the fault cases' replacement of generated traffic by a trace ({trace} is its path)
+TRACE_FAULT = {"arrival": None, "sizes": None, "trace": "{trace}"}
+
+
 class TestErrorHandling:
     def test_missing_config(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -440,15 +444,26 @@ horizon_frames = 2000
         ("sweep", {"arrival": "foo"}, "arrival"),
         ("sweep", {"arrival": "pareto(1.5)"}, "arrival 'pareto(1.5)'"),
         ("sweep", {"arrival": "pareto(x)"}, "arrival 'pareto(x)'"),
+        ("sweep", {"policy": ["static_size(12)", "static_size(12)"]}, "policy"),
+        ("analytic", {"policy": ["dynamic_size", "dynamic_size(approx)"]}, "policy"),
+        ("sweep", TRACE_FAULT, "rate_gbps"),
+        ("sweep", TRACE_FAULT | {"rate_gbps": None, "horizon_frames": None,
+                                 "horizon_time_us": "5"}, "horizon_time_us"),
     ], ids=["frames-0", "frames-neg", "time-neg", "warmup-neg", "cdf-bin-0", "cdf-bin-neg",
             "bound-tau-neg", "tau-0", "rate-0", "rate-neg", "jobs-0", "arrival-foo",
-            "pareto-shape", "pareto-text"])
+            "pareto-shape", "pareto-text", "policy-twice", "policy-same-label",
+            "trace-with-rate", "trace-horizon-before-first-frame"])
     def test_config_fault_fails_before_any_output(self, tmp_path, capsys, mode, fault, named):
         pairs = {"arrival": "poisson", "sizes": "fixed(1500)", "rate_gbps": "5", "tau_us": "16",
                  "policy": "static_size(12)", "horizon_frames": "2000"} | fault
         jobs = pairs.pop("--jobs", "1")
+        # a trace whose first frame arrives at 10 us
+        trace = tmp_path / "t.csv"
+        trace.write_text("".join(f"{10.0 + 2.4 * i:.4f},1500\n" for i in range(400)))
+        lines = [(k, v) for k, vs in pairs.items() if vs is not None
+                 for v in (vs if isinstance(vs, list) else [vs])]
         cfg = write_cfg(tmp_path / "e.cfg",
-                        "".join(f"{k} = {v}\n" for k, v in pairs.items() if v is not None))
+                        "".join(f"{k} = {v.format(trace=trace)}\n" for k, v in lines))
         out = tmp_path / "o"
         assert main([mode, "--config", cfg, "--out", str(out), "--jobs", jobs]) == 2
         error = capsys.readouterr().err.splitlines()[-1]

@@ -416,3 +416,97 @@ class TestAgainstSummaryKernel:
         assert_matches_summary_kernel(rep, old)
         # the last cycle began with fewer frames left than the threshold
         assert cycle_records(rep)[-1].frames_total < 40
+
+
+def _both_kernels(monkeypatch, spec, policy, params, **horizon):
+    """The outputs of ``_sim_kernel`` and of the oracle kernel on the inputs ``run`` made."""
+    calls = []
+    kernel = simcore._sim_kernel
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(simcore, "_sim_kernel", spy)
+    run(spec, policy, params, seed=5, **horizon)
+    (args,) = calls
+    return kernel(*args), oracles.sim_kernel_table(*args)
+
+
+def assert_same_kernel_output(new, old):
+    """Zero tolerance: the same cycle count, and every delay, column and the end bit for bit."""
+    (delays, table, end), (old_delays, old_table, old_end) = new, old
+    assert len(table.start) == len(old_table.start)
+    assert _bits(delays) == _bits(old_delays)
+    for name in simcore.CycleTable._fields:
+        col, old_col = getattr(table, name), getattr(old_table, name)
+        assert col.dtype == old_col.dtype, name
+        assert col.tobytes() == old_col.tobytes(), name
+    assert _bits(end) == _bits(old_end)
+
+
+class TestAgainstCycleTableKernel:
+    """The drain loop without a per-frame ``max``, and one plan per static run,
+    reproduce the kernel that took the ``max`` for every frame and planned every cycle."""
+
+    KERNEL_TRAFFIC = TRAFFIC | {"poisson-9g": lambda tmp: poisson_1500(9)}
+
+    @pytest.mark.parametrize("traffic", list(KERNEL_TRAFFIC))
+    @pytest.mark.parametrize("policy", POLICIES + [PolicyConfig.dynamic_timer(0.5)],
+                             ids=lambda p: f"{p.label()}-{p.tau:g}")
+    def test_same_delays_and_cycle_table(self, params, tmp_path, monkeypatch, policy, traffic):
+        spec = self.KERNEL_TRAFFIC[traffic](tmp_path)
+        horizon = {} if spec.is_trace else {"n_frames": 6000}
+        new, old = _both_kernels(monkeypatch, spec, policy, params, **horizon)
+        assert_same_kernel_output(new, old)
+        if policy.tau == 0.5:
+            assert np.all(new[1].mode == 0)      # every cycle suspended
+
+    @pytest.mark.parametrize("policy", [PolicyConfig.static_size(40),
+                                        PolicyConfig.static_dual(500.0, 40)],
+                             ids=lambda p: p.label())
+    def test_threshold_unfilled_at_end_of_stream(self, params, monkeypatch, policy):
+        new, old = _both_kernels(monkeypatch, poisson_1500(5), policy, params, n_frames=1000)
+        assert_same_kernel_output(new, old)
+        # the last cycle began with fewer frames left than the threshold
+        assert 1000 - new[1].first[-1] < 40
+
+    @pytest.mark.parametrize("traffic", ["poisson-fixed", "trace-duplicates"])
+    @pytest.mark.parametrize("policy", [PolicyConfig.static_timer(24.0),
+                                        PolicyConfig.dynamic_size(16.0, solver="cubic")],
+                             ids=lambda p: p.label())
+    def test_time_horizon(self, params, tmp_path, monkeypatch, policy, traffic):
+        spec = TRAFFIC[traffic](tmp_path)
+        new, old = _both_kernels(monkeypatch, spec, policy, params, time_us=3000.0)
+        assert_same_kernel_output(new, old)
+        # the horizon cut the stream: about 1,250 generated frames, half the trace's
+        assert 0 < len(new[0]) < 2000
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.label())
+    def test_arrival_at_the_departure_instant(self, tmp_path, monkeypatch, policy):
+        # 1250-byte frames take 1 us at 10 Gb/s; with whole-us arrivals and
+        # transitions, frames arrive exactly when the buffer empties
+        trace = tmp_path / "ties.csv"
+        trace.write_text("".join(f"{2 * k + (k // 7) % 3},1250\n" for k in range(3000)))
+        spec = TrafficSpec(trace=str(trace))
+        new, old = _both_kernels(monkeypatch, spec, policy, EeeParams(ts=2.0, tw=4.0))
+        assert_same_kernel_output(new, old)
+        if policy.label() != "dynamic_timer":    # a solved timer is no whole number of us
+            cycles = new[1]
+            times = np.loadtxt(trace, delimiter=",")[:, 0]
+            assert np.any(cycles.start[1:] == times[cycles.first[1:]])
+
+    def test_static_kinds_plan_once_per_run(self, params, monkeypatch):
+        calls = []
+        plan = simcore._plan_scalar
+
+        def counting(*args):
+            calls.append(args[0])
+            return plan(*args)
+
+        monkeypatch.setattr(simcore, "_plan_scalar", counting)
+        for policy in POLICIES:
+            rep = run(poisson_1500(5), policy, params, n_frames=2000, seed=1)
+            assert rep.n_cycles > 1
+        static = [p.kind for p in POLICIES if not p.is_dynamic]
+        assert [k for k in calls if k in static] == static
