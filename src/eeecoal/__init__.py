@@ -11,7 +11,6 @@ from .analytic import (
     TrafficStats,
     energy_lower_bound,
     energy_ratio,
-    is_infeasible,
     toff_upper_bound,
     w0_exact,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "delay_cdf",
     "energy_lower_bound",
     "energy_ratio",
-    "is_infeasible",
     "load_trace",
     "measured_stats",
     "predict",

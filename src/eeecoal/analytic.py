@@ -8,7 +8,7 @@ Conventions used throughout the package:
   wakes through one of length ``tw``, and burns idle power ``phi_off``
   (relative to active) while in low-power idle,
 * the controller-parameter solvers return ``nan`` as the "infeasible"
-  sentinel (delay target unreachable); use :func:`is_infeasible` to test.
+  sentinel (delay target unreachable).
 
 All functions here are pure and stateless.  The scalar ones take and return
 plain floats: the simulator kernel calls the solvers once per coalescing
@@ -17,11 +17,6 @@ cycle, and arithmetic on numpy scalars would be several times slower.
 
 import math
 from dataclasses import dataclass
-
-
-def is_infeasible(x: float) -> bool:
-    """True if a solver returned the infeasible sentinel."""
-    return math.isnan(x)
 
 
 @dataclass(frozen=True)
@@ -93,27 +88,16 @@ class CoalescingOutcome:
 # baseline delay
 # --------------------------------------------------------------------------
 
-def w0_general(lam, mu, var_interarrival, var_service):
+def w0_exact(stats: TrafficStats) -> float:
     """Coalescing-independent baseline delay term of the GI/G/1 model.
 
     Equals the classic single-server mean wait plus one mean interarrival
-    time; for Poisson arrivals it is exact.
+    time, from the full traffic moments; for Poisson arrivals it is exact.
     """
-    if lam <= 0.0 or mu <= 0.0:
-        raise ValueError("lam and mu must be positive")
-    rho = lam / mu
-    if rho >= 1.0:
-        raise ValueError("utilization must be < 1")
-    if var_interarrival < 0.0 or var_service < 0.0:
-        raise ValueError("variances must be nonnegative")
-    return (lam * lam * (var_interarrival + var_service) + (1.0 - rho) ** 2) / (
+    lam, rho = stats.lam, stats.rho
+    return (lam * lam * (stats.var_interarrival + stats.var_service) + (1.0 - rho) ** 2) / (
         2.0 * lam * (1.0 - rho)
     )
-
-
-def w0_exact(stats: TrafficStats) -> float:
-    """Baseline delay from full traffic moments."""
-    return w0_general(stats.lam, stats.mu, stats.var_interarrival, stats.var_service)
 
 
 def w0_poisson_deterministic(lam, rho):
@@ -180,28 +164,6 @@ def delay_time_based(lam, v, tw, w0):
 # --------------------------------------------------------------------------
 # size-based coalescing (wake when qw frames are queued)
 # --------------------------------------------------------------------------
-
-def upper_incomplete_gamma(q, x):
-    """Upper incomplete gamma for integer order q >= 1.
-
-    Uses the exact finite series (q-1)! e^-x sum_{k<q} x^k/k!.  Overflows
-    for q > 170 where (q-1)! exceeds float64 range; the solvers below use a
-    regularized form instead and have no such limit.
-    """
-    if q < 1:
-        raise ValueError("q must be a positive integer")
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    fact = 1.0
-    for k in range(1, q):
-        fact *= k
-    s = 1.0
-    term = 1.0
-    for k in range(1, q):
-        term *= x / k
-        s += term
-    return fact * math.exp(-x) * s
-
 
 def toff_size_based(lam, qw, ts):
     """Mean LPI residency per cycle for a queue-threshold coalescer.

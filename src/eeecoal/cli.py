@@ -264,12 +264,32 @@ def _grid(spec: ExperimentSpec) -> list[tuple[str, list[_Point]]]:
             for name, cells in lines]
 
 
+def _where(point: _Point) -> str:
+    """The rate and target of a point, as warnings and errors name it."""
+    load = point.load
+    where = "the trace" if load.traffic.is_trace else f"{load.rate_gbps:g} Gb/s"
+    return where if point.tau is None else f"{where}, tau {point.tau:g} us"
+
+
 def _simulate(point: _Point) -> simcore.SimReport:
-    return simcore.run(
-        point.load.traffic, point.policy, point.params,
-        seed=np.random.SeedSequence([point.seed, point.index]),
-        warmup_cycles=point.warmup_cycles, **point.horizon,
-    )
+    try:
+        report = simcore.run(
+            point.load.traffic, point.policy, point.params,
+            seed=np.random.SeedSequence([point.seed, point.index]),
+            warmup_cycles=point.warmup_cycles, **point.horizon,
+        )
+    except simcore.EmptyHorizonError:
+        # build_spec rejects a trace horizon before the first frame; a
+        # generated one is random, so only its draw can find it empty
+        raise ConfigError(f"horizon_time_us: {point.horizon['time_us']:g} us holds no frame "
+                          f"at {_where(point)}") from None
+    load = point.load
+    # build_spec has warned about a configured rate at or above the line rate
+    if report.overload and (load.traffic.is_trace or load.rate_gbps * 1e9 < point.params.line_rate):
+        print(f"warning: {point.policy.label()} at {_where(point)}: the frames offer at least "
+              f"the line rate {point.params.line_rate / 1e9:g} Gb/s, expect overload",
+              file=sys.stderr)
+    return report
 
 
 def _row(point: _Point) -> dict:
@@ -296,10 +316,7 @@ def _row(point: _Point) -> dict:
             seed=point.seed,
         )
         if not report.warmed_up:
-            load = point.load
-            where = "the trace" if load.traffic.is_trace else f"{load.rate_gbps:g} Gb/s"
-            tau = "" if point.tau is None else f", tau {point.tau:g} us"
-            print(f"warning: {point.policy.label()} at {where}{tau}: {report.n_cycles} cycles "
+            print(f"warning: {point.policy.label()} at {_where(point)}: {report.n_cycles} cycles "
                   f"for warmup_cycles = {point.warmup_cycles}; the row averages over every cycle",
                   file=sys.stderr)
         bound_at = report.mean_delay_us if report.mean_delay_us > 0 else None
@@ -342,24 +359,29 @@ def _cdf_filename(point: _Point) -> str:
 
 
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
-    """Execute all grid points and write CSVs; returns the written paths."""
+    """Execute all grid points and write CSVs; returns the written paths.
+
+    Every point is computed before the output directory is made, so a fault
+    that only a run finds leaves no output behind.
+    """
     groups = _grid(spec)
-    n_points = sum(len(points) for _, points in groups)
-    if spec.mode == "sim" and n_points > 1:
-        print(f"note: sim mode with {n_points} grid points; use sweep for grids",
+    points = [point for _, group in groups for point in group]
+    if spec.mode == "sim" and len(points) > 1:
+        print(f"note: sim mode with {len(points)} grid points; use sweep for grids",
               file=sys.stderr)
+    results = iter(_map_points(_cdf_point if spec.mode == "cdf" else _row, points, spec.jobs))
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, points in groups:
+    for name, group in groups:
         if spec.mode == "cdf":
-            for point, (edges, cdf) in zip(points, _map_points(_cdf_point, points, spec.jobs)):
+            for point, (edges, cdf) in zip(group, results):
                 path = spec.out_dir / _cdf_filename(point)
                 rows = [{"delay_us": float(e), "cdf": float(c)} for e, c in zip(edges, cdf)]
                 _write_csv(path, ["delay_us", "cdf"], rows)
                 written.append(path)
         else:
             path = spec.out_dir / f"{name}.csv"
-            _write_csv(path, COLUMNS, _map_points(_row, points, spec.jobs))
+            _write_csv(path, COLUMNS, [next(results) for _ in group])
             written.append(path)
     return written
 

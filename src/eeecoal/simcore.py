@@ -16,14 +16,16 @@ kernel, plain Python over memoryviews of the arrays.  A cycle's first frame
 starts at the later of its arrival and the end of the wake transition; each
 later frame of the busy period arrived before the previous departure, so it
 starts at that departure, and the loop reads its arrival and service time
-once.  ``none`` and the static policies plan the same wake rule every
-cycle, so the kernel plans them once per run.  It records two things
-exactly: each frame's queuing delay (service start minus arrival) and one
-row per cycle, the cycle table (``CycleTable``: start, first frame, planned
-mode, V and Q_w, wake instant, and the estimate the plan used).  Every
-aggregate of a ``SimReport`` is a reduction over the table's rows after a
-warm-up prefix, and ``cycle_records`` turns the rows of any report into
-``CycleRecord`` objects.
+once.  The kernel has two loops.  ``none`` and the static policies plan
+the same wake rule every cycle and read no traffic estimate, so the static
+loop plans once per run and keeps no estimate; the adaptive loop plans
+every cycle from the EWMA estimate it updates.  The kernel records two
+things exactly: each frame's queuing delay (service start minus arrival)
+and one row per cycle, the cycle table (``CycleTable``: start, first frame,
+planned mode, V and Q_w, wake instant, and the estimate the plan used, which
+is nan in the rows of a static run).  Every aggregate of a ``SimReport`` is
+a reduction over the table's rows after a warm-up prefix, and
+``cycle_records`` turns the rows of any report into ``CycleRecord`` objects.
 """
 
 import math
@@ -46,10 +48,16 @@ from .traffic import TrafficSpec, sample_frames, sample_frames_until
 DEFAULT_WARMUP_CYCLES = 100
 
 
+class EmptyHorizonError(ValueError):
+    """The horizon of a run holds no frame, so there is nothing to simulate."""
 
 
 class CycleTable(NamedTuple):
-    """One row per cycle, in the order the kernel ran them (warm-up included)."""
+    """One row per cycle, in the order the kernel ran them (warm-up included).
+
+    Rows of a static run (``none`` and the static kinds) come from the
+    static loop, which keeps no estimate: their ``lam_hat``/``mu_hat`` are nan.
+    """
 
     start: np.ndarray     # buffer-empty instant that opened the cycle, us
     first: np.ndarray     # index of the cycle's first frame
@@ -57,8 +65,8 @@ class CycleTable(NamedTuple):
     v: np.ndarray         # planned timer, us (0 unless timer or dual)
     qw: np.ndarray        # planned threshold, frames (0 unless threshold or dual)
     wake: np.ndarray      # instant the wake transition began (start if suspended), us
-    lam_hat: np.ndarray   # estimate the plan was computed from (nan if none)
-    mu_hat: np.ndarray
+    lam_hat: np.ndarray   # estimate the plan was computed from (nan if none,
+    mu_hat: np.ndarray    # as in every row of a static run)
 
 
 def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
@@ -72,21 +80,96 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
     # Index through memoryviews: each read is a Python float, so the per-frame
     # and per-cycle arithmetic (down to the planner's solvers) never runs on
     # numpy scalars, which is several times slower.  No copy is made.
-    arr, svc, dly = memoryview(arr), memoryview(svc), memoryview(delays)
-    c_start, c_first, c_mode, c_v, c_qw, c_wake, c_lam, c_mu = map(memoryview, table)
+    views = memoryview(arr), memoryview(svc), memoryview(delays)
+    # _plan_scalar and _estimate_update are looked up on the module, where
+    # tracing and the tests' spies wrap them
+    if kind <= 3:
+        # none and the static kinds plan the same (mode, V, Q_w) every cycle
+        plan = _plan_scalar(kind, v_static, qw_static, tau, use_cubic,
+                            0.0, 0.0, False, ts, tw)
+        c, end = _static_loop(*views, table, *plan, ts, tw)
+    else:
+        c, end = _adaptive_loop(*views, table, kind, tau, use_cubic, ts, tw)
+    return delays, CycleTable(*(col[:c] for col in table)), end
 
+
+def _static_loop(arr, svc, dly, table, mode, pv, pq, ts, tw):
+    """Run one fixed plan; returns (cycles, end instant).
+
+    A static plan never suspends and reads no estimate, so none is kept:
+    each cycle stores its start, first frame and wake instant, and after the
+    loop every row gets the plan and nan for the estimate.
+    """
+    c_start, c_first, c_wake = map(memoryview, (table.start, table.first, table.wake))
+    ahead = int(pq) - 1                 # frames after the first that fill the threshold
+    n = len(arr)
+    i = 0
+    t_empty = 0.0
+    c = 0
+    while i < n:
+        t_first = arr[i]
+        if mode == 1:
+            wake = t_first + pv
+        else:
+            qi = i + ahead
+            if qi < n:
+                wake = arr[qi]
+            elif mode == 2:
+                # stream ends before the threshold fills: wake at the final
+                # arrival so the run drains (truncation artifact)
+                wake = arr[n - 1]
+            else:
+                wake = math.inf         # dual: the timer alone wakes the link
+            sleep_end = t_empty + ts
+            if wake < sleep_end:
+                wake = sleep_end
+            if mode == 3:
+                t_timer = t_first + pv
+                if t_timer < wake:
+                    wake = t_timer
+        depart = wake + tw
+
+        # drain FIFO until the buffer empties, as the adaptive loop does
+        if depart < t_first:
+            depart = t_first
+        dly[i] = depart - t_first
+        depart += svc[i]
+        j = i + 1
+        while j < n:
+            a = arr[j]
+            if a >= depart:
+                break
+            dly[j] = depart - a
+            depart += svc[j]
+            j += 1
+
+        c_start[c] = t_empty
+        c_first[c] = i
+        c_wake[c] = wake
+        t_empty = depart
+        i = j
+        c += 1
+
+    table.mode[:c] = mode
+    table.v[:c] = pv
+    table.qw[:c] = pq
+    table.lam_hat[:c] = math.nan
+    table.mu_hat[:c] = math.nan
+    return c, t_empty
+
+
+def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
+    """Plan every cycle from the traffic estimate; returns (cycles, end instant).
+
+    An adaptive plan suspends, sets a timer or sets a threshold, never both.
+    """
+    c_start, c_first, c_mode, c_v, c_qw, c_wake, c_lam, c_mu = map(memoryview, table)
     est_frames = 0.0
     est_duration = 0.0
     est_service = 0.0
     est_valid = False
 
-    # kinds 0-3 (none and the static ones) plan the same (mode, V, Q_w) every
-    # cycle, so they plan once; looked up on the module, where tracing wraps it
-    static = kind <= 3
-    if static:
-        plan = _plan_scalar(kind, v_static, qw_static, tau, use_cubic,
-                            0.0, 0.0, False, ts, tw)
-
+    n = len(arr)
     i = 0
     t_empty = 0.0
     c = 0
@@ -108,39 +191,26 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
         else:
             plan_lam = 0.0
             plan_mu = 0.0
-        mode, pv, pq = plan if static else _plan_scalar(
-            kind, v_static, qw_static, tau, use_cubic, plan_lam, plan_mu, est_valid, ts, tw)
+        mode, pv, pq = _plan_scalar(kind, 0.0, 0.0, tau, use_cubic,
+                                    plan_lam, plan_mu, est_valid, ts, tw)
 
         t_first = arr[i]
-        wake_start = t_empty
+        wake = t_empty
         if mode == 0:
             # suspended: stay active-idle until the next arrival
             depart = t_empty
         else:
-            sleep_end = t_empty + ts
             if mode == 1:
-                trigger = t_first + pv
+                wake = t_first + pv
             else:
                 qi = i + int(pq) - 1
-                if qi < n:
-                    th_trigger = arr[qi]
-                    if th_trigger < sleep_end:
-                        th_trigger = sleep_end
-                else:
-                    # stream ends before the threshold fills: wake at the
-                    # final arrival so the run drains (truncation artifact)
-                    th_trigger = arr[n - 1]
-                    if th_trigger < sleep_end:
-                        th_trigger = sleep_end
-                    if mode == 3:
-                        th_trigger = math.inf
-                if mode == 2:
-                    trigger = th_trigger
-                else:
-                    t_timer = t_first + pv
-                    trigger = t_timer if t_timer < th_trigger else th_trigger
-            wake_start = trigger
-            depart = wake_start + tw
+                # a stream that ends before the threshold fills wakes at the
+                # final arrival, so the run drains (truncation artifact)
+                wake = arr[qi] if qi < n else arr[n - 1]
+                sleep_end = t_empty + ts
+                if wake < sleep_end:
+                    wake = sleep_end
+            depart = wake + tw
 
         # drain FIFO until the buffer empties: the first frame starts when
         # both it and the link are ready; every later one arrived before the
@@ -166,7 +236,7 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
         c_mode[c] = mode
         c_v[c] = pv
         c_qw[c] = pq
-        c_wake[c] = wake_start
+        c_wake[c] = wake
         c_lam[c] = plan_lam if est_valid else math.nan
         c_mu[c] = plan_mu if est_valid else math.nan
 
@@ -178,7 +248,7 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
         i = j
         c += 1
 
-    return delays, CycleTable(*(col[:c] for col in table)), t_empty
+    return c, t_empty
 
 
 def _t_off(cycles: CycleTable, ts: float) -> np.ndarray:
@@ -211,8 +281,8 @@ class CycleRecord:
     planned_mode: str
     planned_v: float
     planned_qw: int
-    lambda_hat: float         # estimate the plan was computed from (nan if none)
-    mu_hat: float
+    lambda_hat: float         # estimate the plan was computed from (nan if none,
+    mu_hat: float             # as in every cycle of a static run)
 
 
 @dataclass(frozen=True)
@@ -289,7 +359,7 @@ def run(traffic: TrafficSpec, policy: PolicyConfig, params: EeeParams = EeeParam
             raise ValueError("time_us must be positive")
         times, sizes = sample_frames_until(traffic, float(time_us), seed)
     if len(times) == 0:
-        raise ValueError("horizon contains no frames")
+        raise EmptyHorizonError("horizon contains no frames")
 
     times = np.ascontiguousarray(times, dtype=np.float64)
     # service times, computed in the drawn sizes array (a fresh copy for

@@ -449,10 +449,17 @@ horizon_frames = 2000
         ("sweep", TRACE_FAULT, "rate_gbps"),
         ("sweep", TRACE_FAULT | {"rate_gbps": None, "horizon_frames": None,
                                  "horizon_time_us": "5"}, "horizon_time_us"),
+        # a generated time horizon that draws no frame is found by the run
+        ("sweep", {"rate_gbps": "1", "policy": "static_size(4)", "horizon_frames": None,
+                   "horizon_time_us": "0.001"},
+         "horizon_time_us: 0.001 us holds no frame at 1 Gb/s"),
+        ("sweep", {"rate_gbps": ["5", "0.001"], "horizon_frames": None, "horizon_time_us": "30",
+                   "--jobs": "2"}, "horizon_time_us: 30 us holds no frame at 0.001 Gb/s"),
     ], ids=["frames-0", "frames-neg", "time-neg", "warmup-neg", "cdf-bin-0", "cdf-bin-neg",
             "bound-tau-neg", "tau-0", "rate-0", "rate-neg", "jobs-0", "arrival-foo",
             "pareto-shape", "pareto-text", "policy-twice", "policy-same-label",
-            "trace-with-rate", "trace-horizon-before-first-frame"])
+            "trace-with-rate", "trace-horizon-before-first-frame", "time-horizon-empty",
+            "time-horizon-empty-at-a-later-point"])
     def test_config_fault_fails_before_any_output(self, tmp_path, capsys, mode, fault, named):
         pairs = {"arrival": "poisson", "sizes": "fixed(1500)", "rate_gbps": "5", "tau_us": "16",
                  "policy": "static_size(12)", "horizon_frames": "2000"} | fault
@@ -487,7 +494,24 @@ policy = none
 horizon_frames = 5000
 """)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert "expect overload" in capsys.readouterr().err
+        # the configured rate is named once, not again by its point
+        assert capsys.readouterr().err.count("expect overload") == 1
+
+    def test_overload_warning_for_a_fast_trace(self, tmp_path, capsys):
+        # 1500-byte frames every 1.1 us offer about 10.9 Gb/s to a 10 Gb/s link
+        trace = tmp_path / "t.csv"
+        trace.write_text("".join(f"{1.1 * i:.4f},1500\n" for i in range(3000)))
+        cfg = write_cfg(tmp_path / "e.cfg", f"""\
+trace = {trace}
+policy = static_size(4)
+warmup_cycles = 0
+""")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["warning: static_size_4 at the trace: the frames offer at least the "
+                       "line rate 10 Gb/s, expect overload"]
+        assert len(read_rows(out / "sweep_static_size_4.csv")) == 1
 
 
 # --------------------------------------------------------------------------
