@@ -181,11 +181,45 @@ class TestSizeBased:
                 composed = (qw * gammaincc(qw + 1, x) - x * gammaincc(qw, x)) / lam
                 assert toff_size_based(lam, qw, ts) == pytest.approx(composed, rel=1e-12)
 
+    def test_against_quadrature(self):
+        # E[(T - ts)^+] with T ~ Erlang(qw, lam), the epoch of the qw-th arrival
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        for qw, lam, ts in [(13, 0.4166667, 2.88), (4, 0.5, 5.0), (7, 0.9, 10.0)]:
+            def integrand(t):
+                return (t - ts) * lam**qw * t ** (qw - 1) * math.exp(-lam * t) / math.factorial(qw - 1)
+            oracle, _ = scipy_integrate.quad(integrand, ts, np.inf)
+            assert toff_size_based(lam, qw, ts) == pytest.approx(oracle, rel=1e-9)
+
+    @given(qw=st.integers(1, 60), x=st.floats(0.0, 30.0))
+    @settings(max_examples=150)
+    def test_threshold_recurrence(self, qw, x):
+        # one more frame to wait for adds P(T_{qw+1} > ts)/lam = Q(qw+1, x)/lam
+        gammaincc = pytest.importorskip("scipy.special").gammaincc
+        lam = 0.4166667
+        ts = x / lam
+        step = toff_size_based(lam, qw + 1, ts) - toff_size_based(lam, qw, ts)
+        assert step == pytest.approx(gammaincc(qw + 1, x) / lam, rel=1e-9, abs=1e-12)
+
+    def test_threshold_past_factorial_range(self):
+        # (qw-1)! overflows float64 past qw = 170; the regularized sums do not.
+        # P(T_qw < ts) is negligible here, so the residency is E[T_qw] - ts.
+        lam = 0.4166667
+        for qw in (171, 500, 2000):
+            assert toff_size_based(lam, qw, TS) == pytest.approx(qw / lam - TS, rel=1e-12)
+
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             toff_size_based(0.4, 0, 2.88)
         with pytest.raises(ValueError):
             delay_size_based(0.4, 0.5, TW, 3.0)
+
+    def test_rejects_bad_rate_and_sleep_length(self):
+        with pytest.raises(ValueError):
+            toff_size_based(0.0, 3, 2.88)
+        with pytest.raises(ValueError):
+            toff_size_based(0.4, 3, -0.5)
+        with pytest.raises(ValueError):
+            delay_size_based(0.0, 3.0, TW, 3.0)
 
     def test_delay_reference(self):
         assert delay_size_based(LAM_5G, 12.0, TW, W0_5G) == pytest.approx(15.905, abs=1e-3)
