@@ -15,7 +15,7 @@ from .analytic import (
     w0_exact,
 )
 from .policy import PolicyConfig, predict
-from .simcore import CycleRecord, SimReport, cycle_records, delay_cdf, run
+from .simcore import SimReport, cycle_view, delay_cdf, run
 from .traffic import (
     BimodalSize,
     FixedSize,
@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BimodalSize",
     "CoalescingOutcome",
-    "CycleRecord",
     "EeeParams",
     "FixedSize",
     "Pareto",
@@ -43,7 +42,7 @@ __all__ = [
     "Trace",
     "TrafficSpec",
     "TrafficStats",
-    "cycle_records",
+    "cycle_view",
     "delay_cdf",
     "energy_lower_bound",
     "energy_ratio",

@@ -282,13 +282,13 @@ def optimal_threshold_cubic(tau, lam, tw, w0):
     """Queue threshold for delay tau as a root of the exact cubic condition.
 
     The cubic is ``delay_size_based(lam, q, tw, w0) = tau`` multiplied
-    through by its denominators.  Of its real roots in
-    [1, 2*lam*tau + 10], the one whose predicted delay is nearest tau wins.
-    Returns nan when no root falls in that range.
+    through by its denominators.  Returns its largest real root in
+    [1, 2*lam*tau + 10], or nan when no root falls in that range.
 
     Two roots fall in range only when lam*tw is large and tau lies in the
-    dip of ``delay_size_based`` just above q = 1; both then predict tau, so
-    rounding decides between them.
+    dip of ``delay_size_based`` just above q = 1.  Both then predict tau
+    exactly, and at equal predicted delay the larger threshold sleeps
+    longer per cycle, so it wins.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -300,13 +300,9 @@ def optimal_threshold_cubic(tau, lam, tw, w0):
     b = lt * lt - 2.0 * lam * lt * d - 4.0 * lt
     hi = 2.0 * lam * tau + 10.0
     best = math.nan
-    best_dist = math.inf
-    for q in _cubic_real_roots(a, b, 2.0 * lt):
+    for q in _cubic_real_roots(a, b, 2.0 * lt):      # ascending
         if 1.0 <= q <= hi:
-            dist = abs(delay_size_based(lam, q, tw, w0) - tau)
-            if dist < best_dist:
-                best_dist = dist
-                best = q
+            best = q
     return best
 
 

@@ -191,7 +191,10 @@ class PolicyConfig:
 # --------------------------------------------------------------------------
 
 def _solve_threshold(tau, lam, tw, w0, use_cubic):
-    """Fractional threshold whose predicted delay is tau; nan when infeasible."""
+    """Fractional threshold whose predicted delay is tau; nan when infeasible.
+
+    Both solvers return nan or a threshold of at least one frame.
+    """
     if use_cubic:
         return optimal_threshold_cubic(tau, lam, tw, w0)
     return optimal_threshold_approx(tau, lam, tw, w0)
@@ -226,7 +229,7 @@ def _plan_scalar(kind, v_static, qw_static, tau, use_cubic, lam_hat, mu_hat,
             return 0, 0.0, 0.0
         return 1, v, 0.0
     q = _solve_threshold(tau, lam_hat, tw, w0, use_cubic)
-    if math.isnan(q) or q < 1.0:
+    if math.isnan(q):
         return 0, 0.0, 0.0
     return 2, 0.0, _round_threshold(q)
 

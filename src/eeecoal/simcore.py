@@ -25,7 +25,7 @@ and one row per cycle, the cycle table (``CycleTable``: start, first frame,
 planned mode, V and Q_w, wake instant, and the estimate the plan used, which
 is nan in the rows of a static run).  Every aggregate of a ``SimReport`` is
 a reduction over the table's rows after a warm-up prefix, and
-``cycle_records`` turns the rows of any report into ``CycleRecord`` objects.
+``cycle_view`` derives the per-cycle sleep, delay and frame counts from them.
 """
 
 import math
@@ -37,7 +37,6 @@ import numpy as np
 from .analytic import EeeParams
 from .policy import (
     DEFAULT_EWMA_WEIGHT,
-    MODE_NAMES,
     MODE_SUSPEND,
     PolicyConfig,
     _estimate_update,
@@ -267,22 +266,19 @@ def _fold(values: np.ndarray, out=None) -> float:
     return float(np.cumsum(values, out=out)[-1])
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    """One cycle of a run: its cycle-table row and what follows from it."""
+class CycleView(NamedTuple):
+    """Derived columns of a run's cycles, one row per cycle (warm-up included).
 
-    sleep_start: float        # buffer-empty instant that opened the cycle, us
-    t_e: float                # empty period: sleep start -> first arrival, us
-    w_f: float                # queuing delay of the cycle's first frame, us
-    t_off: float              # LPI residency, us (0 for suspended cycles)
-    frames_while_asleep: int
-    frames_total: int
-    cycle_duration: float
-    planned_mode: str
-    planned_v: float
-    planned_qw: int
-    lambda_hat: float         # estimate the plan was computed from (nan if none,
-    mu_hat: float             # as in every cycle of a static run)
+    The planned columns (start, mode, V, Q_w and the estimate) are in
+    ``report.cycles``; these follow from them and the arrivals.
+    """
+
+    t_e: np.ndarray                     # empty period: cycle start -> first arrival, us
+    w_f: np.ndarray                     # queuing delay of the cycle's first frame, us
+    t_off: np.ndarray                   # LPI residency, us (0 for suspended cycles)
+    frames_while_asleep: np.ndarray
+    frames_total: np.ndarray
+    cycle_duration: np.ndarray          # us
 
 
 @dataclass(frozen=True)
@@ -311,7 +307,7 @@ class SimReport:
     Aggregates exclude the warm-up cycles whenever the run got past them
     (``warmed_up``); ``delays`` holds the post-warm-up queuing delay samples.
     ``cycles`` is the cycle table of the whole run, ``arrivals`` the frame
-    arrival times and ``params`` the interface simulated; ``cycle_records``
+    arrival times and ``params`` the interface simulated; ``cycle_view``
     reads them.
     """
 
@@ -430,27 +426,22 @@ def run(traffic: TrafficSpec, policy: PolicyConfig, params: EeeParams = EeeParam
     )
 
 
-def cycle_records(report: SimReport) -> list[CycleRecord]:
-    """Every cycle of a run, warm-up included, as records."""
+def cycle_view(report: SimReport) -> CycleView:
+    """The derived columns of every cycle of a run, warm-up included."""
     cyc, times = report.cycles, report.arrivals
     t_first = times[cyc.first]
     slept = cyc.mode != MODE_SUSPEND
     # service of the first frame can start once the link is awake: tw after
     # the wake instant, or at once in a suspended cycle
     ready = cyc.wake + np.where(slept, report.params.tw, 0.0)
-    w_f = np.maximum(ready, t_first) - t_first
-    asleep = np.where(slept, np.searchsorted(times, cyc.wake) - cyc.first, 0)
-    columns = (
-        cyc.start, t_first - cyc.start, w_f, _t_off(cyc, report.params.ts), asleep,
-        np.diff(cyc.first, append=report.n_frames),
-        np.diff(cyc.start, append=report.duration_us),
-        cyc.mode, cyc.v, cyc.qw.astype(np.int64), cyc.lam_hat, cyc.mu_hat,
+    return CycleView(
+        t_e=t_first - cyc.start,
+        w_f=np.maximum(ready, t_first) - t_first,
+        t_off=_t_off(cyc, report.params.ts),
+        frames_while_asleep=np.where(slept, np.searchsorted(times, cyc.wake) - cyc.first, 0),
+        frames_total=np.diff(cyc.first, append=report.n_frames),
+        cycle_duration=np.diff(cyc.start, append=report.duration_us),
     )
-    return [
-        CycleRecord(start, t_e, wf, toff, nsleep, nfr, dur, MODE_NAMES[m], v, qw, lam, mu)
-        for start, t_e, wf, toff, nsleep, nfr, dur, m, v, qw, lam, mu
-        in zip(*(col.tolist() for col in columns))
-    ]
 
 
 def delay_cdf(report: SimReport, bin_width_us: float) -> tuple[np.ndarray, np.ndarray]:

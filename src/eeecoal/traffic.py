@@ -86,14 +86,17 @@ class BimodalSize:
 
 @dataclass(frozen=True)
 class TrafficSpec:
-    """Either a generated (arrival + sizes) source or a trace: a file path or a loaded Trace."""
+    """Either a generated (arrival + sizes) source or a trace loaded by ``load_trace``."""
 
     arrival: Poisson | Pareto | None = None
     sizes: FixedSize | BimodalSize | None = None
-    trace: "str | Path | Trace | None" = None
+    trace: "Trace | None" = None
 
     def __post_init__(self):
         if self.trace is not None:
+            if not isinstance(self.trace, Trace):
+                raise ValueError(f"trace must be a Trace, not {type(self.trace).__name__}: "
+                                 "read the file with load_trace(path)")
             if self.arrival is not None or self.sizes is not None:
                 raise ValueError("a trace spec cannot also carry generators")
         elif self.arrival is None or self.sizes is None:
@@ -291,15 +294,10 @@ def _draw_sizes(sizes, rng, n: int) -> np.ndarray:
     return np.where(small, float(sizes.small), float(sizes.large))
 
 
-def _loaded(trace: str | Path | Trace) -> Trace:
-    return trace if isinstance(trace, Trace) else load_trace(trace)
-
-
 def sample_frames(spec: TrafficSpec, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized draw of n frames: (arrival_times, sizes_bytes)."""
     if spec.is_trace:
-        trace = _loaded(spec.trace)
-        return trace.times[:n].copy(), trace.sizes[:n].copy()
+        return spec.trace.times[:n].copy(), spec.trace.sizes[:n].copy()
     if n <= 0:
         raise ValueError("n must be positive")
     rng_a, rng_s = _child_rngs(seed)
@@ -310,7 +308,7 @@ def sample_frames(spec: TrafficSpec, n: int, seed) -> tuple[np.ndarray, np.ndarr
 def sample_frames_until(spec: TrafficSpec, horizon_us: float, seed) -> tuple[np.ndarray, np.ndarray]:
     """Draw frames with arrival times <= horizon_us."""
     if spec.is_trace:
-        trace = _loaded(spec.trace)
+        trace = spec.trace
         k = int(np.searchsorted(trace.times, horizon_us, side="right"))
         return trace.times[:k].copy(), trace.sizes[:k].copy()
     if horizon_us <= 0:

@@ -310,6 +310,8 @@ class TestOptimalThreshold:
     @example(tau=6.75, lam=0.34375, rho=0.703125, tw=6.75)
     @example(tau=212.91609529256988, lam=0.1906152501184961, rho=0.9877518319267179,
              tw=5.334106778566717)
+    @example(tau=11.54319587849294, lam=0.28341861289520687, rho=0.2319876514362294,
+             tw=19.91333222665821)
     @settings(max_examples=300, deadline=None)
     def test_closed_form_matches_bisection_oracle(self, tau, lam, rho, tw):
         w0 = w0_poisson_deterministic(lam, rho)
@@ -319,8 +321,13 @@ class TestOptimalThreshold:
             # The cubic is positive at 0 and 1, so its roots >= 1 come in a pair:
             # with lam*tw large, delay_size_based dips below its value at q = 1
             # and a target inside the dip is met twice.  Both roots predict tau
-            # exactly, so which is "nearest" is decided by rounding, and the
-            # scan misses the pair when it falls in one segment.
+            # exactly, so the larger, which sleeps longer, is picked; the
+            # oracle's "nearest" pick is decided by rounding, and its scan
+            # misses the pair when it falls in one segment.
+            d, lt = tau - w0, lam * tw
+            roots = analytic._cubic_real_roots(2.0 * lt - 2.0 * lam * d - 3.0,
+                                               lt * lt - 2.0 * lam * lt * d - 4.0 * lt, 2.0 * lt)
+            assert ours == max(q for q in roots if 1.0 <= q <= 2.0 * lam * tau + 10.0)
             assert delay_size_based(lam, ours, tw, w0) == pytest.approx(tau, rel=1e-6)
             if not math.isnan(oracle):
                 assert delay_size_based(lam, oracle, tw, w0) == pytest.approx(tau, rel=1e-6)

@@ -11,12 +11,13 @@ from eeecoal import (
     Poisson,
     PolicyConfig,
     TrafficSpec,
-    cycle_records,
+    cycle_view,
     delay_cdf,
+    load_trace,
     run,
 )
 from eeecoal import analytic, simcore
-from eeecoal.policy import MODE_NAMES, _plan_scalar
+from eeecoal.policy import MODE_DUAL, MODE_SUSPEND, MODE_TIMER, _plan_scalar
 from eeecoal.simcore import SimReport, StateResidency
 
 from conftest import LAM_5G, MU_10G_1500B, W0_5G
@@ -63,9 +64,9 @@ class TestConservation:
     def test_cycle_frames_partition_the_run(self, params):
         rep = run(poisson_1500(5), PolicyConfig.static_dual(24.0, 12), params,
                   n_frames=20000, seed=4)
-        recs = cycle_records(rep)
-        assert sum(r.frames_total for r in recs) == rep.n_frames
-        assert all(r.t_off >= 0 and r.t_e >= 0 for r in recs)
+        view = cycle_view(rep)
+        assert view.frames_total.sum() == rep.n_frames
+        assert np.all(view.t_off >= 0) and np.all(view.t_e >= 0)
 
 
 class TestDeterminism:
@@ -104,7 +105,7 @@ class TestAgainstClosedForms:
         lines = "".join(f"{2.4 * i:.6f},1500\n" for i in range(n))
         trace.write_text(lines)
         tiny = EeeParams(phi_off=0.1, ts=1e-9, tw=1e-9, line_rate=10e9)
-        rep = run(TrafficSpec(trace=str(trace)), PolicyConfig.none(), tiny, seed=0)
+        rep = run(TrafficSpec(trace=load_trace(trace)), PolicyConfig.none(), tiny, seed=0)
         assert rep.mean_delay_us == pytest.approx(0.0, abs=1e-6)
 
     def test_wake_on_first_arrival_energy_at_low_load(self, params):
@@ -141,43 +142,39 @@ class TestCycleSemantics:
         # first arrival even when that lands inside the sleep transition
         rep = run(poisson_1500(5), PolicyConfig.static_timer(24.0), params,
                   n_frames=50000, seed=31)
-        for rec in cycle_records(rep):
-            assert rec.t_off == pytest.approx(rec.t_e + 24.0 - params.ts, abs=1e-9)
-            assert rec.w_f == pytest.approx(24.0 + params.tw, abs=1e-9)
+        view = cycle_view(rep)
+        np.testing.assert_allclose(view.t_off, view.t_e + 24.0 - params.ts, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(view.w_f, 24.0 + params.tw, rtol=0, atol=1e-9)
 
     def test_threshold_cycle_first_frame_waits_for_peers(self, params):
         rep = run(poisson_1500(5), PolicyConfig.static_size(12), params,
                   n_frames=50000, seed=32)
-        recs = cycle_records(rep)
+        view = cycle_view(rep)
         # first frame of each cycle waits for the remaining 11 plus the wake
-        mean_wf = np.mean([r.w_f for r in recs])
-        assert mean_wf == pytest.approx(11.0 / LAM_5G + params.tw, rel=0.03)
+        assert view.w_f.mean() == pytest.approx(11.0 / LAM_5G + params.tw, rel=0.03)
         # the sleep transition defers any early threshold hit
-        for rec in recs:
-            assert rec.t_off >= 0.0
+        assert np.all(view.t_off >= 0.0)
 
     def test_planned_values_recorded(self, params):
         rep = run(poisson_1500(5), PolicyConfig.static_dual(24.0, 12), params,
                   n_frames=20000, seed=33)
-        recs = cycle_records(rep)
-        assert all(r.planned_mode == "dual" for r in recs)
-        assert all(r.planned_v == 24.0 and r.planned_qw == 12 for r in recs)
+        cyc = rep.cycles
+        assert np.all(cyc.mode == MODE_DUAL)
+        assert np.all(cyc.v == 24.0) and np.all(cyc.qw == 12)
 
     def test_kernel_plans_match_policy_api(self, params):
         # re-derive every recorded adaptive plan from the recorded estimate
         cfg = PolicyConfig.dynamic_timer(16.0)
         rep = run(poisson_1500(5), cfg, params, n_frames=50000, seed=34)
-        checked = 0
-        for rec in cycle_records(rep):
-            if math.isnan(rec.lambda_hat):
-                continue
-            mode, v, _ = _plan_scalar(cfg.kind, 0.0, 0.0, cfg.tau, False, rec.lambda_hat,
-                                      rec.mu_hat, True, params.ts, params.tw)
-            assert MODE_NAMES[mode] == rec.planned_mode
-            if rec.planned_mode == "timer":
-                assert v == pytest.approx(rec.planned_v, rel=1e-9)
-            checked += 1
-        assert checked > 100
+        cyc = rep.cycles
+        rows = np.flatnonzero(~np.isnan(cyc.lam_hat))
+        assert len(rows) > 100
+        modes, vs, _ = map(np.array, zip(*(
+            _plan_scalar(cfg.kind, 0.0, 0.0, cfg.tau, False, lam, mu, True, params.ts, params.tw)
+            for lam, mu in zip(cyc.lam_hat[rows].tolist(), cyc.mu_hat[rows].tolist()))))
+        assert np.array_equal(modes, cyc.mode[rows])
+        timer = modes == MODE_TIMER
+        np.testing.assert_allclose(vs[timer], cyc.v[rows][timer], rtol=1e-9)
 
     def test_planner_receives_python_floats(self, params, monkeypatch):
         # numpy scalars leaking from the arrival arrays into the estimate
@@ -198,8 +195,8 @@ class TestCycleSemantics:
     def test_adaptive_timer_settles(self, params):
         rep = run(poisson_1500(5), PolicyConfig.dynamic_timer(16.0), params,
                   n_frames=200000, seed=35)
-        recs = [r for r in cycle_records(rep)[100:] if r.planned_mode == "timer"]
-        vs = np.array([r.planned_v for r in recs])
+        cyc = rep.cycles
+        vs = cyc.v[100:][cyc.mode[100:] == MODE_TIMER]
         assert vs.std() < 0.10 * vs.mean()
 
     def test_dual_policy_tracks_the_faster_mechanism(self, params):
@@ -229,10 +226,9 @@ class TestCycleSemantics:
         # with a feasible target the very next plans go back to sleeping
         rep = run(poisson_1500(5), PolicyConfig.dynamic_timer(16.0), params,
                   n_frames=30000, seed=39)
-        modes = [r.planned_mode for r in cycle_records(rep)]
-        suspended = [i for i, m in enumerate(modes) if m == "suspend"]
-        assert all(i < 10 for i in suspended)  # cold start only
-        assert modes[-1] == "timer"
+        modes = rep.cycles.mode
+        assert np.all(np.flatnonzero(modes == MODE_SUSPEND) < 10)  # cold start only
+        assert modes[-1] == MODE_TIMER
 
 
 class TestReportShape:
@@ -274,7 +270,7 @@ class TestReportShape:
     def test_trace_replay_default_horizon(self, params, tmp_path):
         trace = tmp_path / "t.csv"
         trace.write_text("".join(f"{2.4 * i:.4f},1500\n" for i in range(500)))
-        rep = run(TrafficSpec(trace=str(trace)), PolicyConfig.none(), params, seed=0)
+        rep = run(TrafficSpec(trace=load_trace(trace)), PolicyConfig.none(), params, seed=0)
         assert rep.n_frames == 500
 
 
@@ -326,13 +322,14 @@ RESIDENCY_RTOL = 1e-9
 CSV_FIELDS = ("measured_phi", "mean_delay_us", "mean_toff_us", "mean_planned_v_us",
               "mean_planned_qw", "suspend_fraction")
 
-# CycleRecord field -> record matrix column of the summary kernel
+# column of the cycle table or of cycle_view -> record matrix column of the summary kernel
 RECORD_COLUMNS = {
-    "sleep_start": oracles._C_START, "t_e": oracles._C_TE, "w_f": oracles._C_WF,
-    "t_off": oracles._C_TOFF, "frames_while_asleep": oracles._C_NSLEEP,
-    "frames_total": oracles._C_NFRAMES, "cycle_duration": oracles._C_DUR,
-    "planned_v": oracles._C_V, "planned_qw": oracles._C_QW,
-    "lambda_hat": oracles._C_LAMHAT, "mu_hat": oracles._C_MUHAT,
+    "start": oracles._C_START, "first": oracles._C_FIRSTIDX, "mode": oracles._C_MODE,
+    "v": oracles._C_V, "qw": oracles._C_QW,
+    "lam_hat": oracles._C_LAMHAT, "mu_hat": oracles._C_MUHAT,
+    "t_e": oracles._C_TE, "w_f": oracles._C_WF, "t_off": oracles._C_TOFF,
+    "frames_while_asleep": oracles._C_NSLEEP, "frames_total": oracles._C_NFRAMES,
+    "cycle_duration": oracles._C_DUR,
 }
 
 
@@ -346,7 +343,7 @@ def _duplicate_time_trace(path):
     times = np.repeat(np.cumsum(rng.exponential(5.0, 1200)), rng.integers(1, 4, 1200))
     sizes = np.where(rng.random(len(times)) < 0.5, 100, 1500)
     path.write_text("".join(f"{t:.4f},{s}\n" for t, s in zip(times, sizes)))
-    return TrafficSpec(trace=str(path))
+    return TrafficSpec(trace=load_trace(path))
 
 
 TRAFFIC = {
@@ -372,16 +369,15 @@ def assert_matches_summary_kernel(rep, old, policy):
     for name in ("going_to_sleep", "lpi", "waking", "active_serving", "active_idle"):
         assert getattr(rep.residency, name) == pytest.approx(
             getattr(old["residency"], name), rel=RESIDENCY_RTOL), name
-    recs = cycle_records(rep)
+    columns = rep.cycles._asdict() | cycle_view(rep)._asdict()
     cyc = old["cycles"]
-    assert len(recs) == len(cyc)
     for name, col in RECORD_COLUMNS.items():
-        values = [getattr(r, name) for r in recs]
-        if name in ("lambda_hat", "mu_hat") and not policy.is_dynamic:
+        values = columns[name]
+        assert len(values) == len(cyc), name
+        if name in ("lam_hat", "mu_hat") and not policy.is_dynamic:
             assert np.isnan(values).all(), name
         else:
             assert _bits(values) == _bits(cyc[:, col]), name
-    assert [r.planned_mode for r in recs] == [MODE_NAMES[int(m)] for m in cyc[:, oracles._C_MODE]]
 
 
 class TestAgainstSummaryKernel:
@@ -423,7 +419,7 @@ class TestAgainstSummaryKernel:
                           record_cycles=True)
         assert_matches_summary_kernel(rep, old, policy)
         # the last cycle began with fewer frames left than the threshold
-        assert cycle_records(rep)[-1].frames_total < 40
+        assert cycle_view(rep).frames_total[-1] < 40
 
 
 def _both_kernels(monkeypatch, spec, policy, params, **horizon):
@@ -503,7 +499,7 @@ class TestAgainstCycleTableKernel:
         # transitions, frames arrive exactly when the buffer empties
         trace = tmp_path / "ties.csv"
         trace.write_text("".join(f"{2 * k + (k // 7) % 3},1250\n" for k in range(3000)))
-        spec = TrafficSpec(trace=str(trace))
+        spec = TrafficSpec(trace=load_trace(trace))
         new, old = _both_kernels(monkeypatch, spec, policy, EeeParams(ts=2.0, tw=4.0))
         assert_same_kernel_output(new, old, policy)
         if policy.label() != "dynamic_timer":    # a solved timer is no whole number of us

@@ -11,6 +11,7 @@ from eeecoal.traffic import (
     FixedSize,
     Pareto,
     Poisson,
+    Trace,
     TraceFormatError,
     load_trace,
     measured_stats,
@@ -93,8 +94,13 @@ class TestGeneration:
             BimodalSize(1.5, 100, 1500)
         with pytest.raises(ValueError):
             TrafficSpec(arrival=Poisson(LAM))  # sizes missing
-        with pytest.raises(ValueError):
-            TrafficSpec(arrival=Poisson(LAM), sizes=FixedSize(1500), trace="x.csv")
+        one_frame = Trace(times=np.zeros(1), sizes=np.full(1, 1500.0))
+        with pytest.raises(ValueError, match="generators"):
+            TrafficSpec(arrival=Poisson(LAM), sizes=FixedSize(1500), trace=one_frame)
+
+    def test_trace_spec_takes_only_a_loaded_trace(self):
+        with pytest.raises(ValueError, match="load_trace"):
+            TrafficSpec(trace="x.csv")
 
 
 class TestTheoreticalStats:
@@ -132,7 +138,7 @@ class TestTheoreticalStats:
         path = tmp_path / "t.csv"
         path.write_text("0.0,1500\n")
         with pytest.raises(ValueError):
-            theoretical_stats(TrafficSpec(trace=str(path)), 10e9)
+            theoretical_stats(TrafficSpec(trace=load_trace(path)), 10e9)
 
     def test_rate_conversion(self):
         assert rate_to_lambda(5e9, FixedSize(1500)) == pytest.approx(0.4166667, rel=1e-5)
@@ -324,9 +330,8 @@ class TestTraceParseFuzz:
         loaded = TrafficSpec(trace=load_trace(path))
         assert loaded == TrafficSpec(trace=loaded.trace) != TrafficSpec(trace=load_trace(path))
         assert hash(loaded) == hash(TrafficSpec(trace=loaded.trace))
-        for spec in (loaded, TrafficSpec(trace=str(path))):
-            times, sizes = sample_frames(spec, 20, seed=0)
-            assert list(sizes) == [64.0 + i for i in range(20)]
-            times, _ = sample_frames_until(spec, 24.0, seed=0)
-            assert len(times) == 11
+        times, sizes = sample_frames(loaded, 20, seed=0)
+        assert list(sizes) == [64.0 + i for i in range(20)]
+        times, _ = sample_frames_until(loaded, 24.0, seed=0)
+        assert len(times) == 11
 
