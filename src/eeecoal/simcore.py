@@ -12,11 +12,14 @@ at ``phi_off``.
 
 Because wake conditions depend only on arrival times, the whole run reduces
 to a single pass over the (pre-drawn) arrival array; the pass is the hot
-kernel, plain Python over memoryviews of the arrays.  A cycle's first frame
-starts at the later of its arrival and the end of the wake transition; each
-later frame of the busy period arrived before the previous departure, so it
-starts at that departure, and the loop reads its arrival and service time
-once.  The kernel has two loops.  ``none`` and the static policies plan
+kernel, plain Python over one ``zip`` of memoryviews of the arrival and
+service times.  A cycle's first frame starts at the later of its arrival and
+the end of the wake transition; each later frame of the busy period arrived
+before the previous departure, so it starts at that departure.  An inner
+``for`` over the shared iterator drains the busy period and stops at the
+arrival that opens the next cycle, so each frame is read once, and the
+service starts it writes become delays in one subtraction after the pass.
+The kernel has two loops.  ``none`` and the static policies plan
 the same wake rule every cycle and read no traffic estimate, so the static
 loop plans once per run and keeps no estimate; the adaptive loop plans
 every cycle from the EWMA estimate it updates.  The kernel records two
@@ -69,16 +72,17 @@ class CycleTable(NamedTuple):
 
 
 def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
-    """Serve the frames; returns (per-frame delays, cycle table, end instant)."""
+    """Serve the frames, at least one; returns (per-frame delays, cycle table, end instant)."""
     n = arr.shape[0]
     delays = np.empty(n, dtype=np.float64)
     # a cycle serves at least one frame, so n rows are enough
     index = np.int32 if n < 2**31 else np.int64
     table = CycleTable(*(np.empty(n, dtype=dt) for dt in (
         np.float64, index, np.int8, np.float64, np.float64, np.float64, np.float64, np.float64)))
-    # Index through memoryviews: each read is a Python float, so the per-frame
-    # and per-cycle arithmetic (down to the planner's solvers) never runs on
-    # numpy scalars, which is several times slower.  No copy is made.
+    # The loops iterate and index memoryviews: each value is a Python float, so
+    # the per-frame and per-cycle arithmetic (down to the planner's solvers) never
+    # runs on numpy scalars, which is several times slower.  No copy is made.  They
+    # store service starts, which the subtraction after them makes delays.
     views = memoryview(arr), memoryview(svc), memoryview(delays)
     # _plan_scalar and _estimate_update are looked up on the module, where
     # tracing and the tests' spies wrap them
@@ -89,6 +93,7 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
         c, end = _static_loop(*views, table, *plan, ts, tw)
     else:
         c, end = _adaptive_loop(*views, table, kind, tau, use_cubic, ts, tw)
+    np.subtract(delays, arr, out=delays)
     return delays, CycleTable(*(col[:c] for col in table)), end
 
 
@@ -102,15 +107,17 @@ def _static_loop(arr, svc, dly, table, mode, pv, pq, ts, tw):
     c_start, c_first, c_wake = map(memoryview, (table.start, table.first, table.wake))
     ahead = int(pq) - 1                 # frames after the first that fill the threshold
     n = len(arr)
-    i = 0
+    frames = zip(arr, svc)
+    a, s = next(frames)                 # the first frame opens cycle 0 at t_empty = 0
+    j = 0
     t_empty = 0.0
     c = 0
-    while i < n:
-        t_first = arr[i]
+    while j < n:
+        # (a, s) is frame j, the first of cycle c
         if mode == 1:
-            wake = t_first + pv
+            wake = a + pv
         else:
-            qi = i + ahead
+            qi = j + ahead
             if qi < n:
                 wake = arr[qi]
             elif mode == 2:
@@ -123,31 +130,28 @@ def _static_loop(arr, svc, dly, table, mode, pv, pq, ts, tw):
             if wake < sleep_end:
                 wake = sleep_end
             if mode == 3:
-                t_timer = t_first + pv
+                t_timer = a + pv
                 if t_timer < wake:
                     wake = t_timer
-        depart = wake + tw
+        c_start[c] = t_empty
+        c_first[c] = j
+        c_wake[c] = wake
+        c += 1
 
         # drain FIFO until the buffer empties, as the adaptive loop does
-        if depart < t_first:
-            depart = t_first
-        dly[i] = depart - t_first
-        depart += svc[i]
-        j = i + 1
-        while j < n:
-            a = arr[j]
+        depart = wake + tw
+        if depart < a:
+            depart = a
+        dly[j] = depart
+        depart += s
+        j += 1
+        for a, s in frames:
             if a >= depart:
                 break
-            dly[j] = depart - a
-            depart += svc[j]
+            dly[j] = depart
+            depart += s
             j += 1
-
-        c_start[c] = t_empty
-        c_first[c] = i
-        c_wake[c] = wake
         t_empty = depart
-        i = j
-        c += 1
 
     table.mode[:c] = mode
     table.v[:c] = pv
@@ -169,14 +173,17 @@ def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
     est_valid = False
 
     n = len(arr)
-    i = 0
+    frames = zip(arr, svc)
+    a, s = next(frames)                 # the first frame opens cycle 0 at t_empty = 0
+    j = 0
     t_empty = 0.0
     c = 0
-    while i < n:
-        # cold start: until a cycle with >= 2 frames completes, seed the
-        # estimate from the first positive interarrival gap and frame size
-        if not est_valid and i >= 2:
-            for k in range(1, i):
+    while j < n:
+        # (a, s) is frame j, the first of cycle c.  Cold start: until a cycle
+        # with >= 2 frames completes, seed the estimate from the first
+        # positive interarrival gap and frame size
+        if not est_valid and j >= 2:
+            for k in range(1, j):
                 gap = arr[k] - arr[k - 1]
                 if gap > 0.0 and svc[0] > 0.0:
                     est_frames = 1.0
@@ -193,16 +200,15 @@ def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
         mode, pv, pq = _plan_scalar(kind, 0.0, 0.0, tau, use_cubic,
                                     plan_lam, plan_mu, est_valid, ts, tw)
 
-        t_first = arr[i]
         wake = t_empty
         if mode == 0:
             # suspended: stay active-idle until the next arrival
             depart = t_empty
         else:
             if mode == 1:
-                wake = t_first + pv
+                wake = a + pv
             else:
-                qi = i + int(pq) - 1
+                qi = j + int(pq) - 1
                 # a stream that ends before the threshold fills wakes at the
                 # final arrival, so the run drains (truncation artifact)
                 wake = arr[qi] if qi < n else arr[n - 1]
@@ -210,42 +216,38 @@ def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
                 if wake < sleep_end:
                     wake = sleep_end
             depart = wake + tw
-
-        # drain FIFO until the buffer empties: the first frame starts when
-        # both it and the link are ready; every later one arrived before the
-        # previous departure, so it starts at that departure
-        if depart < t_first:
-            depart = t_first
-        dly[i] = depart - t_first
-        svc_sum = svc[i]
-        depart += svc_sum
-        j = i + 1
-        while j < n:
-            a = arr[j]
-            if a >= depart:
-                break
-            dly[j] = depart - a
-            s = svc[j]
-            depart += s
-            svc_sum += s
-            j += 1
-
+        first = j
         c_start[c] = t_empty
-        c_first[c] = i
+        c_first[c] = first
         c_mode[c] = mode
         c_v[c] = pv
         c_qw[c] = pq
         c_wake[c] = wake
         c_lam[c] = plan_lam if est_valid else math.nan
         c_mu[c] = plan_mu if est_valid else math.nan
+        c += 1
+
+        # drain FIFO until the buffer empties: the first frame starts when
+        # both it and the link are ready; every later one arrived before the
+        # previous departure, so it starts at that departure
+        if depart < a:
+            depart = a
+        dly[j] = depart
+        svc_sum = s
+        depart += s
+        j += 1
+        for a, s in frames:
+            if a >= depart:
+                break
+            dly[j] = depart
+            depart += s
+            svc_sum += s
+            j += 1
 
         est_frames, est_duration, est_service, est_valid = _estimate_update(
             est_frames, est_duration, est_service, est_valid,
-            float(j - i), depart - t_empty, svc_sum, DEFAULT_EWMA_WEIGHT)
-
+            float(j - first), depart - t_empty, svc_sum, DEFAULT_EWMA_WEIGHT)
         t_empty = depart
-        i = j
-        c += 1
 
     return c, t_empty
 
@@ -434,6 +436,8 @@ def cycle_view(report: SimReport) -> CycleView:
     # service of the first frame can start once the link is awake: tw after
     # the wake instant, or at once in a suspended cycle
     ready = cyc.wake + np.where(slept, report.params.tw, 0.0)
+    # a suspended cycle's wake instant is its start, which frames of a trace
+    # can precede in cycle 0; only the mode says that none arrived asleep
     return CycleView(
         t_e=t_first - cyc.start,
         w_f=np.maximum(ready, t_first) - t_first,

@@ -601,3 +601,186 @@ def sim_kernel_table(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw
         c += 1
 
     return delays, CycleTable(*(col[:c] for col in table)), t_empty
+
+
+def sim_kernel_two_loops(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
+    """The two-loop kernel that drains each busy period with an index loop, ``while j < n``.
+
+    Returns (per-frame delays, cycle table, end instant), as ``simcore._sim_kernel``.
+    """
+    n = arr.shape[0]
+    delays = np.empty(n, dtype=np.float64)
+    # a cycle serves at least one frame, so n rows are enough
+    index = np.int32 if n < 2**31 else np.int64
+    table = CycleTable(*(np.empty(n, dtype=dt) for dt in (
+        np.float64, index, np.int8, np.float64, np.float64, np.float64, np.float64, np.float64)))
+    # Index through memoryviews: each read is a Python float, so the per-frame
+    # and per-cycle arithmetic (down to the planner's solvers) never runs on
+    # numpy scalars, which is several times slower.  No copy is made.
+    views = memoryview(arr), memoryview(svc), memoryview(delays)
+    if kind <= 3:
+        # none and the static kinds plan the same (mode, V, Q_w) every cycle
+        plan = _plan_scalar(kind, v_static, qw_static, tau, use_cubic,
+                            0.0, 0.0, False, ts, tw)
+        c, end = _two_loops_static(*views, table, *plan, ts, tw)
+    else:
+        c, end = _two_loops_adaptive(*views, table, kind, tau, use_cubic, ts, tw)
+    return delays, CycleTable(*(col[:c] for col in table)), end
+
+
+def _two_loops_static(arr, svc, dly, table, mode, pv, pq, ts, tw):
+    """Run one fixed plan; returns (cycles, end instant).
+
+    A static plan never suspends and reads no estimate, so none is kept:
+    each cycle stores its start, first frame and wake instant, and after the
+    loop every row gets the plan and nan for the estimate.
+    """
+    c_start, c_first, c_wake = map(memoryview, (table.start, table.first, table.wake))
+    ahead = int(pq) - 1                 # frames after the first that fill the threshold
+    n = len(arr)
+    i = 0
+    t_empty = 0.0
+    c = 0
+    while i < n:
+        t_first = arr[i]
+        if mode == 1:
+            wake = t_first + pv
+        else:
+            qi = i + ahead
+            if qi < n:
+                wake = arr[qi]
+            elif mode == 2:
+                # stream ends before the threshold fills: wake at the final
+                # arrival so the run drains (truncation artifact)
+                wake = arr[n - 1]
+            else:
+                wake = math.inf         # dual: the timer alone wakes the link
+            sleep_end = t_empty + ts
+            if wake < sleep_end:
+                wake = sleep_end
+            if mode == 3:
+                t_timer = t_first + pv
+                if t_timer < wake:
+                    wake = t_timer
+        depart = wake + tw
+
+        # drain FIFO until the buffer empties, as the adaptive loop does
+        if depart < t_first:
+            depart = t_first
+        dly[i] = depart - t_first
+        depart += svc[i]
+        j = i + 1
+        while j < n:
+            a = arr[j]
+            if a >= depart:
+                break
+            dly[j] = depart - a
+            depart += svc[j]
+            j += 1
+
+        c_start[c] = t_empty
+        c_first[c] = i
+        c_wake[c] = wake
+        t_empty = depart
+        i = j
+        c += 1
+
+    table.mode[:c] = mode
+    table.v[:c] = pv
+    table.qw[:c] = pq
+    table.lam_hat[:c] = math.nan
+    table.mu_hat[:c] = math.nan
+    return c, t_empty
+
+
+def _two_loops_adaptive(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
+    """Plan every cycle from the traffic estimate; returns (cycles, end instant).
+
+    An adaptive plan suspends, sets a timer or sets a threshold, never both.
+    """
+    c_start, c_first, c_mode, c_v, c_qw, c_wake, c_lam, c_mu = map(memoryview, table)
+    est_frames = 0.0
+    est_duration = 0.0
+    est_service = 0.0
+    est_valid = False
+
+    n = len(arr)
+    i = 0
+    t_empty = 0.0
+    c = 0
+    while i < n:
+        # cold start: until a cycle with >= 2 frames completes, seed the
+        # estimate from the first positive interarrival gap and frame size
+        if not est_valid and i >= 2:
+            for k in range(1, i):
+                gap = arr[k] - arr[k - 1]
+                if gap > 0.0 and svc[0] > 0.0:
+                    est_frames = 1.0
+                    est_duration = gap
+                    est_service = svc[0]
+                    est_valid = True
+                    break
+        if est_valid:
+            plan_lam = est_frames / est_duration
+            plan_mu = est_frames / est_service
+        else:
+            plan_lam = 0.0
+            plan_mu = 0.0
+        mode, pv, pq = _plan_scalar(kind, 0.0, 0.0, tau, use_cubic,
+                                    plan_lam, plan_mu, est_valid, ts, tw)
+
+        t_first = arr[i]
+        wake = t_empty
+        if mode == 0:
+            # suspended: stay active-idle until the next arrival
+            depart = t_empty
+        else:
+            if mode == 1:
+                wake = t_first + pv
+            else:
+                qi = i + int(pq) - 1
+                # a stream that ends before the threshold fills wakes at the
+                # final arrival, so the run drains (truncation artifact)
+                wake = arr[qi] if qi < n else arr[n - 1]
+                sleep_end = t_empty + ts
+                if wake < sleep_end:
+                    wake = sleep_end
+            depart = wake + tw
+
+        # drain FIFO until the buffer empties: the first frame starts when
+        # both it and the link are ready; every later one arrived before the
+        # previous departure, so it starts at that departure
+        if depart < t_first:
+            depart = t_first
+        dly[i] = depart - t_first
+        svc_sum = svc[i]
+        depart += svc_sum
+        j = i + 1
+        while j < n:
+            a = arr[j]
+            if a >= depart:
+                break
+            dly[j] = depart - a
+            s = svc[j]
+            depart += s
+            svc_sum += s
+            j += 1
+
+        c_start[c] = t_empty
+        c_first[c] = i
+        c_mode[c] = mode
+        c_v[c] = pv
+        c_qw[c] = pq
+        c_wake[c] = wake
+        c_lam[c] = plan_lam if est_valid else math.nan
+        c_mu[c] = plan_mu if est_valid else math.nan
+
+        est_frames, est_duration, est_service, est_valid = _estimate_update(
+            est_frames, est_duration, est_service, est_valid,
+            float(j - i), depart - t_empty, svc_sum, DEFAULT_EWMA_WEIGHT)
+
+        t_empty = depart
+        i = j
+        c += 1
+
+    return c, t_empty

@@ -10,6 +10,7 @@ from eeecoal import (
     Pareto,
     Poisson,
     PolicyConfig,
+    Trace,
     TrafficSpec,
     cycle_view,
     delay_cdf,
@@ -221,6 +222,24 @@ class TestCycleSemantics:
         assert rep.measured_phi == 1.0
         assert rep.mean_toff_us == 0.0
 
+    @pytest.mark.parametrize("before_zero", [False, True], ids=["poisson", "trace-before-zero"])
+    def test_suspended_cycles_see_no_frame_asleep(self, params, tmp_path, before_zero):
+        # a suspended cycle never sleeps, and its first frame starts at the
+        # later of its arrival and the cycle start.  The wake instant of a
+        # suspended cycle is its start, which frames of a trace can precede
+        # in cycle 0, so only the mode tells that none arrived asleep.
+        if before_zero:
+            rep = run(_trace_before_zero(tmp_path), PolicyConfig.dynamic_timer(0.5), params)
+        else:
+            rep = run(poisson_1500(5), PolicyConfig.dynamic_timer(0.5), params,
+                      n_frames=5000, seed=40)
+        cyc, view = rep.cycles, cycle_view(rep)
+        assert np.all(cyc.mode == MODE_SUSPEND)
+        assert np.all(view.frames_while_asleep == 0)
+        t_first = rep.arrivals[cyc.first]
+        assert _bits(view.w_f) == _bits(np.maximum(cyc.start, t_first) - t_first)
+        assert (view.w_f[0] > 0.0) == before_zero
+
     def test_suspension_lasts_one_cycle(self, params):
         # a suspended plan is revisited at the next buffer-empty instant;
         # with a feasible target the very next plans go back to sleeping
@@ -422,8 +441,13 @@ class TestAgainstSummaryKernel:
         assert cycle_view(rep).frames_total[-1] < 40
 
 
-def _both_kernels(monkeypatch, spec, policy, params, **horizon):
-    """The outputs of ``_sim_kernel`` and of the oracle kernel on the inputs ``run`` made."""
+# the kernels the current one replaced: one loop that takes the ``max`` for
+# every frame, then two loops that drain each busy period by index
+ORACLE_KERNELS = (oracles.sim_kernel_table, oracles.sim_kernel_two_loops)
+
+
+def _kernel_and_oracles(monkeypatch, spec, policy, params, **horizon):
+    """The output of ``_sim_kernel`` on the inputs ``run`` made, and each oracle kernel's."""
     calls = []
     kernel = simcore._sim_kernel
 
@@ -434,33 +458,59 @@ def _both_kernels(monkeypatch, spec, policy, params, **horizon):
     monkeypatch.setattr(simcore, "_sim_kernel", spy)
     run(spec, policy, params, seed=5, **horizon)
     (args,) = calls
-    return kernel(*args), oracles.sim_kernel_table(*args)
+    return kernel(*args), [oracle(*args) for oracle in ORACLE_KERNELS]
 
 
-def assert_same_kernel_output(new, old, policy):
-    """Zero tolerance: the same cycle count, and every delay, column and the end bit for bit.
+def assert_same_kernel_output(new, olds, policy):
+    """Zero tolerance against each oracle: the same cycle count, and every
+    delay, column and the end bit for bit.
 
     The one exception: the static loop keeps no estimate, so the estimate
     columns of a static plan are nan in every row.
     """
-    (delays, table, end), (old_delays, old_table, old_end) = new, old
-    assert len(table.start) == len(old_table.start)
-    assert _bits(delays) == _bits(old_delays)
-    for name in simcore.CycleTable._fields:
-        col, old_col = getattr(table, name), getattr(old_table, name)
-        assert col.dtype == old_col.dtype, name
-        if name in ("lam_hat", "mu_hat") and not policy.is_dynamic:
-            assert np.isnan(col).all(), name
-        else:
-            assert col.tobytes() == old_col.tobytes(), name
-    assert _bits(end) == _bits(old_end)
+    delays, table, end = new
+    for old_delays, old_table, old_end in olds:
+        assert len(table.start) == len(old_table.start)
+        assert _bits(delays) == _bits(old_delays)
+        for name in simcore.CycleTable._fields:
+            col, old_col = getattr(table, name), getattr(old_table, name)
+            assert col.dtype == old_col.dtype, name
+            if name in ("lam_hat", "mu_hat") and not policy.is_dynamic:
+                assert np.isnan(col).all(), name
+            else:
+                assert col.tobytes() == old_col.tobytes(), name
+        assert _bits(end) == _bits(old_end)
+
+
+def _poisson_trace(rng, start, n):
+    """``n`` arrivals at 5 Gb/s of 1500-byte frames from ``start`` us on."""
+    return start + np.cumsum(rng.exponential(2.4, n))
+
+
+def _trace_before_zero(tmp):
+    # the first frames arrive before the instant 0 that opens cycle 0
+    times = _poisson_trace(np.random.default_rng(21), -30.0, 3000)
+    assert np.sum(times < 0.0) > 3
+    return TrafficSpec(trace=Trace(times, np.full(len(times), 1500.0)))
+
+
+def _burst_then_poisson(tmp):
+    # 40 frames at one instant, then Poisson arrivals from there on
+    times = np.concatenate([np.full(40, 50.0), _poisson_trace(np.random.default_rng(22), 50.0, 3000)])
+    return TrafficSpec(trace=Trace(times, np.full(len(times), 1500.0)))
 
 
 class TestAgainstCycleTableKernel:
-    """The static and adaptive loops reproduce the one loop that took the ``max``
-    for every frame, and planned and estimated every cycle of every kind."""
+    """The flat pass reproduces both kernels it replaced: the one loop that took
+    the ``max`` for every frame and planned and estimated every cycle of every
+    kind, and the two loops that drained each busy period by index."""
 
-    KERNEL_TRAFFIC = TRAFFIC | {"poisson-9g": lambda tmp: poisson_1500(9)}
+    KERNEL_TRAFFIC = TRAFFIC | {
+        "poisson-9g": lambda tmp: poisson_1500(9),
+        "trace-before-zero": _trace_before_zero,
+        "trace-one-frame": lambda tmp: TrafficSpec(trace=Trace(np.array([7.0]), np.array([1500.0]))),
+        "burst-then-poisson": _burst_then_poisson,
+    }
 
     @pytest.mark.parametrize("traffic", list(KERNEL_TRAFFIC))
     @pytest.mark.parametrize("policy", POLICIES + [PolicyConfig.dynamic_timer(0.5)],
@@ -468,8 +518,8 @@ class TestAgainstCycleTableKernel:
     def test_same_delays_and_cycle_table(self, params, tmp_path, monkeypatch, policy, traffic):
         spec = self.KERNEL_TRAFFIC[traffic](tmp_path)
         horizon = {} if spec.is_trace else {"n_frames": 6000}
-        new, old = _both_kernels(monkeypatch, spec, policy, params, **horizon)
-        assert_same_kernel_output(new, old, policy)
+        new, olds = _kernel_and_oracles(monkeypatch, spec, policy, params, **horizon)
+        assert_same_kernel_output(new, olds, policy)
         if policy.tau == 0.5:
             assert np.all(new[1].mode == 0)      # every cycle suspended
 
@@ -477,8 +527,8 @@ class TestAgainstCycleTableKernel:
                                         PolicyConfig.static_dual(500.0, 40)],
                              ids=lambda p: p.label())
     def test_threshold_unfilled_at_end_of_stream(self, params, monkeypatch, policy):
-        new, old = _both_kernels(monkeypatch, poisson_1500(5), policy, params, n_frames=1000)
-        assert_same_kernel_output(new, old, policy)
+        new, olds = _kernel_and_oracles(monkeypatch, poisson_1500(5), policy, params, n_frames=1000)
+        assert_same_kernel_output(new, olds, policy)
         # the last cycle began with fewer frames left than the threshold
         assert 1000 - new[1].first[-1] < 40
 
@@ -488,8 +538,8 @@ class TestAgainstCycleTableKernel:
                              ids=lambda p: p.label())
     def test_time_horizon(self, params, tmp_path, monkeypatch, policy, traffic):
         spec = TRAFFIC[traffic](tmp_path)
-        new, old = _both_kernels(monkeypatch, spec, policy, params, time_us=3000.0)
-        assert_same_kernel_output(new, old, policy)
+        new, olds = _kernel_and_oracles(monkeypatch, spec, policy, params, time_us=3000.0)
+        assert_same_kernel_output(new, olds, policy)
         # the horizon cut the stream: about 1,250 generated frames, half the trace's
         assert 0 < len(new[0]) < 2000
 
@@ -500,8 +550,8 @@ class TestAgainstCycleTableKernel:
         trace = tmp_path / "ties.csv"
         trace.write_text("".join(f"{2 * k + (k // 7) % 3},1250\n" for k in range(3000)))
         spec = TrafficSpec(trace=load_trace(trace))
-        new, old = _both_kernels(monkeypatch, spec, policy, EeeParams(ts=2.0, tw=4.0))
-        assert_same_kernel_output(new, old, policy)
+        new, olds = _kernel_and_oracles(monkeypatch, spec, policy, EeeParams(ts=2.0, tw=4.0))
+        assert_same_kernel_output(new, olds, policy)
         if policy.label() != "dynamic_timer":    # a solved timer is no whole number of us
             cycles = new[1]
             times = np.loadtxt(trace, delimiter=",")[:, 0]
