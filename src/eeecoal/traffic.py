@@ -4,7 +4,10 @@ Arrival processes are renewal processes with exponential (Poisson) or
 Pareto interarrivals; frame sizes are fixed or bimodal and drawn
 independently of arrivals.  Traces are plain CSV files of
 ``arrival_time_us,frame_size_bytes`` lines (header optional, ``#`` comments
-ignored) so any capture format can be converted with a one-liner.
+ignored) so any capture format can be converted with a one-liner.  numpy
+reads a trace file by path when every ``#`` in it starts a line, and a copy
+of its text without blank and comment lines otherwise; a line loop names
+the first faulty line of a file that numpy cannot read.
 
 Generation is deterministic per seed.  Arrival and size draws come from two
 independent child generators of the run seed.
@@ -12,6 +15,7 @@ independent child generators of the run seed.
 
 import io
 import math
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -150,32 +154,47 @@ class Trace:
 
 # a blank or '#' comment line, with the line break before it
 _SKIPPED_LINE = re.compile(r"\n[^\S\n]*(?:#.*)?(?=\n|\Z)")
-_LINE = re.compile(r".+")
 # numpy strips these ASCII separators around a field; float() does not
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# numpy opens a path with one of these suffixes through a decompressor
+_NUMPY_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def load_trace(path: str | Path) -> Trace:
-    """Parse a trace CSV; malformed lines, nan/inf fields and decreasing times are errors.
+    """Parse a trace CSV; malformed lines, nan/inf fields, times below 0 and
+    decreasing times are errors.
 
-    numpy parses a well-formed trace from one read of the file.  Any other
-    file goes through the line loop, which reads what only float() reads
-    (such as ``1_0``) or raises at the first faulty line.
+    numpy parses a well-formed trace: from the file itself when every ``#``
+    starts a line, else from a copy of the text without its blank and
+    comment lines.  Any other file goes through the line loop, which reads
+    what only float() reads (such as ``1_0``) or raises at the first faulty
+    line.
     """
     trace = _parse_numpy(path)
     return trace if trace is not None else _parse_lines(path)
 
 
 def _parse_numpy(path) -> Trace | None:
-    """The trace if numpy reads every data line and the checks pass, else None."""
+    """The trace if numpy reads every data line and the checks pass, else None.
+
+    Python reads the text once to find the header and choose the route.
+    When every ``#`` starts a line, numpy then reads the file again by path,
+    in C, and drops the comment lines itself (a file rewritten between the
+    two reads is not guarded against).  Otherwise, or if numpy rejects the
+    file, such as for a blank line of spaces or an indented comment, numpy
+    parses the text with its blank and comment lines cut out.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline=None) as fh:
-            body = _SKIPPED_LINE.sub("", "\n" + fh.read())    # each kept line after a "\n"
+            text = fh.read()
     except UnicodeDecodeError:
         return None                     # the loop names the position it reached
     header = 0
-    for line in _LINE.finditer(body):   # the optional header, skipped as _data_lines does
-        fields = line[0].strip().split(",")
+    for skiprows, line in enumerate(io.StringIO(text)):    # as _data_lines skips the header
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
         if len(fields) != 2:
             return None
         try:
@@ -185,20 +204,38 @@ def _parse_numpy(path) -> Trace | None:
             header += 1
     else:
         return Trace(times=np.empty(0), sizes=np.empty(0))
-    if any(c in body for c in _NUMPY_ONLY_SPACE):
-        return None
-    try:
-        # bytes, not text, keep numpy's read buffer at one byte per character;
-        # two columns, since the first row has two fields and every row must
-        # have as many as the first
-        table = np.loadtxt(io.BytesIO(body.encode()), encoding="utf-8", skiprows=1 + header,
-                           delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:
-        return None
+    table = None
+    if (text.count("#") == text.count("\n#") + text.startswith("#")
+            and not any(c in text for c in _NUMPY_ONLY_SPACE)
+            and not str(path).endswith(_NUMPY_DECOMPRESSED)):
+        # an absolute path, which numpy's opener never takes for a URL
+        table = _loadtxt(os.path.abspath(path), skiprows, comments="#")
+    if table is None:
+        body = _SKIPPED_LINE.sub("", "\n" + text)     # each kept line after a "\n"
+        if any(c in body for c in _NUMPY_ONLY_SPACE):
+            return None
+        # bytes, not text, keep numpy's read buffer at one byte per character
+        table = _loadtxt(io.BytesIO(body.encode()), 1 + header, comments=None)
+        if table is None:
+            return None
     times, sizes = np.ascontiguousarray(table.T)
-    if np.isfinite(table).all() and (sizes > 0).all() and (np.diff(times) >= 0).all():
+    if (np.isfinite(table).all() and (sizes > 0).all() and (times[:1] >= 0).all()
+            and (np.diff(times) >= 0).all()):
         return Trace(times=times, sizes=sizes)
     return None
+
+
+def _loadtxt(source, skiprows, comments) -> np.ndarray | None:
+    """The two-column table numpy reads after ``skiprows`` lines, or None if it cannot.
+
+    Two columns, since the first row has two fields and every row must have
+    as many as the first.
+    """
+    try:
+        return np.loadtxt(source, encoding="utf-8", skiprows=skiprows, delimiter=",",
+                          comments=comments, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
 
 
 def _data_lines(path):
@@ -239,6 +276,8 @@ def _parse_lines(path) -> Trace:
     for lineno, _, t, s in _data_lines(path):
         if s <= 0:
             raise TraceFormatError(f"{path}: line {lineno}: frame size must be positive")
+        if not times and -math.inf < t < 0:     # -inf is named as non-finite below
+            raise TraceFormatError(f"{path}: line {lineno}: negative timestamp {t}")
         if times and t < times[-1]:
             # an earlier nan or inf is the real fault; name it first
             _check_finite(path, times, sizes)

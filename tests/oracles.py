@@ -6,7 +6,9 @@ from names and docstrings, so a test can compare the two on any input.
 report, whose fields have changed since.
 """
 
+import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +153,53 @@ def trace_check_finite(path, times, sizes) -> None:
     for k, (lineno, line, _, _) in enumerate(trace_data_lines(path)):
         if k == bad:
             raise TraceFormatError(f"{path}: line {lineno}: non-finite field in {line!r}")
+
+
+# a blank or '#' comment line, with the line break before it
+_SKIPPED_LINE = re.compile(r"\n[^\S\n]*(?:#.*)?(?=\n|\Z)")
+_LINE = re.compile(r".+")
+# numpy strips these ASCII separators around a field; float() does not
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def parse_numpy_cleaned(path) -> Trace | None:
+    """The numpy trace parser that parses a cleaned copy of the text.
+
+    Strips blank and comment lines with a regex, then hands numpy the rest
+    as bytes.  Returns the trace if numpy reads every data line and the
+    checks pass, else None.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline=None) as fh:
+            body = _SKIPPED_LINE.sub("", "\n" + fh.read())    # each kept line after a "\n"
+    except UnicodeDecodeError:
+        return None                     # the loop names the position it reached
+    header = 0
+    for line in _LINE.finditer(body):   # the optional header, skipped as _data_lines does
+        fields = line[0].strip().split(",")
+        if len(fields) != 2:
+            return None
+        try:
+            float(fields[0]), float(fields[1])
+            break
+        except ValueError:
+            header += 1
+    else:
+        return Trace(times=np.empty(0), sizes=np.empty(0))
+    if any(c in body for c in _NUMPY_ONLY_SPACE):
+        return None
+    try:
+        # bytes, not text, keep numpy's read buffer at one byte per character;
+        # two columns, since the first row has two fields and every row must
+        # have as many as the first
+        table = np.loadtxt(io.BytesIO(body.encode()), encoding="utf-8", skiprows=1 + header,
+                           delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    times, sizes = np.ascontiguousarray(table.T)
+    if np.isfinite(table).all() and (sizes > 0).all() and (np.diff(times) >= 0).all():
+        return Trace(times=times, sizes=sizes)
+    return None
 
 
 # --------------------------------------------------------------------------

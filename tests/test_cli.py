@@ -373,6 +373,16 @@ class TestErrorHandling:
         assert "line 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_trace_before_zero_fails_before_any_output(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("".join(f"{-30.0 + 2.4 * i:.4f},1500\n" for i in range(3000)))
+        cfg = write_cfg(tmp_path / "e.cfg", f"trace = {trace}\ntau_us = 16\n"
+                        "policy = static_timer(24)\npolicy = dynamic_timer\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "line 1: negative timestamp -30.0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("lines", ["0.0,1500\n", "0.0,1500\n0.0,100\n0.0,1500\n"],
                              ids=["one-frame", "three-at-zero"])
     def test_trace_too_short_to_measure_fails_before_any_output(self, tmp_path, capsys, lines):

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from eeecoal.traffic import (
     sample_frames,
     sample_frames_until,
 )
-from oracles import load_trace_lines
+from oracles import load_trace_lines, parse_numpy_cleaned, trace_data_lines
 
 LAM = 0.4166667
 
@@ -219,6 +221,15 @@ class TestTraceLoading:
         with pytest.raises(TraceFormatError, match=f"line {line}: non-finite"):
             load_trace(path)
 
+    def test_trace_before_zero_rejected(self, tmp_path):
+        # the numpy routes leave it to the line loop, which names its line
+        path = tmp_path / "t.csv"
+        path.write_text("t,s\n# c\n-30.0,1500\n-27.6,1500\n0.0,1500\n")
+        with pytest.raises(TraceFormatError, match="line 3: negative timestamp -30.0"):
+            load_trace(path)
+        path.write_text("-0.0,1500\n2.4,1500\n")
+        assert load_trace(path).times.tobytes() == np.array([-0.0, 2.4]).tobytes()
+
     def test_duplicate_timestamps_allowed(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("1.0,100\n1.0,200\n")
@@ -235,9 +246,9 @@ class TestTraceLoading:
 # the numpy parser against the line loop it replaced
 # --------------------------------------------------------------------------
 
-WELL_FORMED = ["data"] * 6 + ["comment", "blank"]
+WELL_FORMED = ["data"] * 6 + ["comment", "double-# comment", "blank"]
 ODD = ["inline #", "1_0", "quoted", "one field", "three fields", "non-finite", "size <= 0",
-       "decreasing", "junk"]
+       "decreasing", "negative", "junk"]
 
 
 @st.composite
@@ -259,6 +270,7 @@ def trace_texts(draw):
         lines.append({
             "data": lambda: field(time) + "," + field(size),
             "comment": lambda: draw(st.sampled_from(["#", "# frames 0+", " \t# a, b", "#1,2"])),
+            "double-# comment": lambda: draw(st.sampled_from(["# a # b", "##", " # 1,2 #"])),
             "blank": lambda: draw(st.sampled_from(["", " ", "\t", "\x0c"])),
             "inline #": lambda: f"{time},{size} # note",
             "1_0": lambda: f"{time},1_{size}",
@@ -270,6 +282,8 @@ def trace_texts(draw):
                     draw(st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))),
             "size <= 0": lambda: f"{time},{draw(st.sampled_from(['0', '-1', '-0.0', '0e3']))}",
             "decreasing": lambda: f"{t - draw(st.sampled_from([0.001, 1.0, 50.0])):.4f},{size}",
+            "negative": lambda: field(draw(st.sampled_from(["-0.0", "-1e-3", "-30", "-2.4e1"])))
+                                + "," + size,
             "junk": lambda: draw(st.text(st.characters(blacklist_categories=("Cs",)),
                                          max_size=12)),
         }[kind]())
@@ -284,16 +298,42 @@ def _outcome(load, path):
         trace = load(path)
     except Exception as exc:            # compared with the oracle's, never hidden
         return type(exc), str(exc)
+    if trace is None:
+        return None
     return trace.times.dtype, trace.times.tobytes(), trace.sizes.dtype, trace.sizes.tobytes()
+
+
+def _line_loop_outcome(path):
+    """The line-loop oracle's outcome, but with a first frame before 0 us,
+    which the oracle accepts, rejected at its line as load_trace does."""
+    try:
+        lineno, _, t, s = next(trace_data_lines(path))
+    except (StopIteration, TraceFormatError, UnicodeDecodeError):
+        pass
+    else:
+        if not s <= 0 and -math.inf < t < 0:
+            return TraceFormatError, f"{path}: line {lineno}: negative timestamp {t}"
+    return _outcome(load_trace_lines, path)
+
+
+def _cleaned_parser_outcome(path):
+    """The cleaned-text oracle's outcome, but None for a trace that starts
+    before 0 us, which _parse_numpy leaves to the line loop."""
+    trace = parse_numpy_cleaned(path)
+    if trace is not None and (trace.times[:1] < 0).any():
+        return None
+    return _outcome(lambda _: trace, path)
 
 
 class TestTraceParseFuzz:
     @given(text=trace_texts())
     @settings(max_examples=600, deadline=None)
     def test_matches_the_line_loop(self, tmp_path_factory, text):
+        # and the numpy parser matches the cleaned-text parser it replaced
         path = tmp_path_factory.getbasetemp() / "fuzzed-trace.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert _outcome(load_trace, path) == _outcome(load_trace_lines, path)
+        assert _outcome(load_trace, path) == _line_loop_outcome(path)
+        assert _outcome(traffic._parse_numpy, path) == _cleaned_parser_outcome(path)
 
     @pytest.mark.parametrize("data", [
         b"0.0,1500\n\xff,1500\n",
@@ -335,3 +375,67 @@ class TestTraceParseFuzz:
         times, _ = sample_frames_until(loaded, 24.0, seed=0)
         assert len(times) == 11
 
+
+def _write_benchmark_trace(path, n_lines):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.write_trace(path, n_lines, seed=1)
+
+
+class TestTraceParseRoutes:
+    """numpy reads the file by path when every '#' starts a line, else a cleaned copy."""
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        seen = []
+        loadtxt, skipped_line = np.loadtxt, traffic._SKIPPED_LINE
+
+        class CountingPattern:
+            def sub(self, *args):
+                seen.append("sub")
+                return skipped_line.sub(*args)
+
+        def spy(source, *args, **kwargs):
+            seen.append("path" if isinstance(source, str) else "cleaned")
+            return loadtxt(source, *args, **kwargs)
+
+        def no_loop(*args):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(traffic.np, "loadtxt", spy)
+        monkeypatch.setattr(traffic, "_SKIPPED_LINE", CountingPattern())
+        monkeypatch.setattr(traffic, "_parse_lines", no_loop)
+        return seen
+
+    def test_benchmark_shaped_trace_is_read_by_path(self, tmp_path, routes):
+        path = tmp_path / "t.csv"
+        _write_benchmark_trace(path, 25_000)
+        trace = load_trace(path)
+        assert routes == ["path"]
+        expected = load_trace_lines(path)
+        assert trace.n_frames == 25_000
+        assert trace.times.tobytes() == expected.times.tobytes()
+        assert trace.sizes.tobytes() == expected.sizes.tobytes()
+
+    @pytest.mark.parametrize("text, route", [
+        ("# a # b\nt,s\n0.0,1500\n2.4,100\n", ["sub", "cleaned"]),
+        ("0.0,1500\n  \t\n2.4,100\n", ["path", "sub", "cleaned"]),
+        ("0.0,1500\n  # c\n2.4,100\n", ["sub", "cleaned"]),
+        ("# c\n0.0,1500\n2.4,100\n", ["path"]),
+    ], ids=["double-#-comment", "blank-line-of-spaces", "indented-comment", "column-0-comment"])
+    def test_route(self, tmp_path, routes, text, route):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        trace = load_trace(path)
+        assert routes == route
+        assert list(trace.times) == [0.0, 2.4] and list(trace.sizes) == [1500.0, 100.0]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_plain_text_with_a_compressed_suffix(self, tmp_path, routes, suffix):
+        # numpy would open it through a decompressor
+        path = tmp_path / f"t.csv{suffix}"
+        path.write_text("0.0,1500\n2.4,100\n")
+        assert list(load_trace(path).times) == [0.0, 2.4]
+        assert routes == ["sub", "cleaned"]
