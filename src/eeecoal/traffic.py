@@ -5,18 +5,17 @@ Pareto interarrivals; frame sizes are fixed or bimodal and drawn
 independently of arrivals.  Traces are plain CSV files of
 ``arrival_time_us,frame_size_bytes`` lines (header optional, ``#`` comments
 ignored) so any capture format can be converted with a one-liner.  numpy
-reads a trace file by path when every ``#`` in it starts a line, and a copy
-of its text without blank and comment lines otherwise; a line loop names
-the first faulty line of a file that numpy cannot read.
+reads a trace file by path when every ``#`` in it starts a line; a line loop
+reads every other file and names the first faulty line of a file that numpy
+cannot read.
 
 Generation is deterministic per seed.  Arrival and size draws come from two
 independent child generators of the run seed.
 """
 
-import io
+import codecs
 import math
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,10 +151,8 @@ class Trace:
         return lam * 8.0 * float(self.sizes.mean()) * 1e6
 
 
-# a blank or '#' comment line, with the line break before it
-_SKIPPED_LINE = re.compile(r"\n[^\S\n]*(?:#.*)?(?=\n|\Z)")
 # numpy strips these ASCII separators around a field; float() does not
-_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_NUMPY_ONLY_SPACE = b"\x1c\x1d\x1e\x1f"
 # numpy opens a path with one of these suffixes through a decompressor
 _NUMPY_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
@@ -164,78 +161,45 @@ def load_trace(path: str | Path) -> Trace:
     """Parse a trace CSV; malformed lines, nan/inf fields, times below 0 and
     decreasing times are errors.
 
-    numpy parses a well-formed trace: from the file itself when every ``#``
-    starts a line, else from a copy of the text without its blank and
-    comment lines.  Any other file goes through the line loop, which reads
-    what only float() reads (such as ``1_0``) or raises at the first faulty
-    line.
+    numpy reads the file by path when every ``#`` in it starts a line.  Any
+    other file, and any file numpy cannot read, goes through the line loop,
+    which reads what only float() reads (such as ``1_0``) or raises at the
+    first faulty line.  A leading UTF-8 byte-order mark is ignored.
     """
     trace = _parse_numpy(path)
     return trace if trace is not None else _parse_lines(path)
 
 
 def _parse_numpy(path) -> Trace | None:
-    """The trace if numpy reads every data line and the checks pass, else None.
+    """The trace if numpy reads the file by path and the checks pass, else None.
 
-    Python reads the text once to find the header and choose the route.
-    When every ``#`` starts a line, numpy then reads the file again by path,
-    in C, and drops the comment lines itself (a file rewritten between the
-    two reads is not guarded against).  Otherwise, or if numpy rejects the
-    file, such as for a blank line of spaces or an indented comment, numpy
-    parses the text with its blank and comment lines cut out.
+    Python reads the bytes once to choose the route, and the first data line
+    once more to count the lines before it.  numpy then reads the file by
+    path, in C, and drops the comment lines itself (a file rewritten between
+    the reads is not guarded against).  numpy rejects a blank line of spaces,
+    and such a file goes to the line loop.
     """
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    if (data.count(b"#") != data.count(b"\n#") + data.startswith(b"#")
+            or any(c in data for c in _NUMPY_ONLY_SPACE)
+            or str(path).endswith(_NUMPY_DECOMPRESSED)):
+        return None
+    del data                            # not held while numpy reads the file
     try:
-        with open(path, "r", encoding="utf-8", newline=None) as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None                     # the loop names the position it reached
-    header = 0
-    for skiprows, line in enumerate(io.StringIO(text)):    # as _data_lines skips the header
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            return None
-        try:
-            float(fields[0]), float(fields[1])
-            break
-        except ValueError:
-            header += 1
-    else:
-        return Trace(times=np.empty(0), sizes=np.empty(0))
-    table = None
-    if (text.count("#") == text.count("\n#") + text.startswith("#")
-            and not any(c in text for c in _NUMPY_ONLY_SPACE)
-            and not str(path).endswith(_NUMPY_DECOMPRESSED)):
-        # an absolute path, which numpy's opener never takes for a URL
-        table = _loadtxt(os.path.abspath(path), skiprows, comments="#")
-    if table is None:
-        body = _SKIPPED_LINE.sub("", "\n" + text)     # each kept line after a "\n"
-        if any(c in body for c in _NUMPY_ONLY_SPACE):
-            return None
-        # bytes, not text, keep numpy's read buffer at one byte per character
-        table = _loadtxt(io.BytesIO(body.encode()), 1 + header, comments=None)
-        if table is None:
-            return None
+        lineno = next(_data_lines(path))[0]
+        # an absolute path, which numpy's opener never takes for a URL; two
+        # columns, since the first row has two fields and every row must have
+        # as many as the first
+        table = np.loadtxt(os.path.abspath(path), encoding="utf-8-sig", skiprows=lineno - 1,
+                           delimiter=",", comments="#", dtype=np.float64, ndmin=2)
+    except (StopIteration, ValueError):     # no data line, or a fault the loop names
+        return None
     times, sizes = np.ascontiguousarray(table.T)
     if (np.isfinite(table).all() and (sizes > 0).all() and (times[:1] >= 0).all()
             and (np.diff(times) >= 0).all()):
         return Trace(times=times, sizes=sizes)
     return None
-
-
-def _loadtxt(source, skiprows, comments) -> np.ndarray | None:
-    """The two-column table numpy reads after ``skiprows`` lines, or None if it cannot.
-
-    Two columns, since the first row has two fields and every row must have
-    as many as the first.
-    """
-    try:
-        return np.loadtxt(source, encoding="utf-8", skiprows=skiprows, delimiter=",",
-                          comments=comments, dtype=np.float64, ndmin=2)
-    except ValueError:
-        return None
 
 
 def _data_lines(path):
@@ -245,7 +209,7 @@ def _data_lines(path):
     before the first data line (the optional header).
     """
     seen_data = False
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
+    with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

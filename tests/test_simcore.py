@@ -156,6 +156,23 @@ class TestCycleSemantics:
         # the sleep transition defers any early threshold hit
         assert np.all(view.t_off >= 0.0)
 
+    @pytest.mark.parametrize("times", [[10.0, 20.0, 30.0], [0.0, 0.5, 1.0]],
+                             ids=["last-arrival-after-sleep", "last-arrival-during-sleep"])
+    def test_unfilled_threshold_wakes_at_the_final_arrival(self, params, times):
+        # a threshold the stream never fills wakes at the final arrival, or at
+        # the end of the sleep transition if that is later; a dual's timer
+        # wakes it instead.  The one cycle starts at 0 us.
+        times = np.array(times)
+        spec = TrafficSpec(trace=Trace(times, np.full(3, 1500.0)))
+        svc = 1500 * 8 / params.rate_bits_per_us
+        for policy, wake in [(PolicyConfig.static_size(12), max(times[-1], params.ts)),
+                             (PolicyConfig.static_dual(500.0, 12), times[0] + 500.0)]:
+            rep = run(spec, policy, params, warmup_cycles=0)
+            assert rep.cycles.wake.tolist() == [wake]
+            # the kernel adds the service times one by one: allow rounding
+            np.testing.assert_allclose(rep.delays, wake + params.tw + svc * np.arange(3) - times,
+                                       rtol=1e-12)
+
     def test_planned_values_recorded(self, params):
         rep = run(poisson_1500(5), PolicyConfig.static_dual(24.0, 12), params,
                   n_frames=20000, seed=33)

@@ -1,3 +1,4 @@
+import codecs
 import importlib.util
 import math
 from pathlib import Path
@@ -222,7 +223,7 @@ class TestTraceLoading:
             load_trace(path)
 
     def test_trace_before_zero_rejected(self, tmp_path):
-        # the numpy routes leave it to the line loop, which names its line
+        # numpy leaves it to the line loop, which names its line
         path = tmp_path / "t.csv"
         path.write_text("t,s\n# c\n-30.0,1500\n-27.6,1500\n0.0,1500\n")
         with pytest.raises(TraceFormatError, match="line 3: negative timestamp -30.0"):
@@ -316,24 +317,17 @@ def _line_loop_outcome(path):
     return _outcome(load_trace_lines, path)
 
 
-def _cleaned_parser_outcome(path):
-    """The cleaned-text oracle's outcome, but None for a trace that starts
-    before 0 us, which _parse_numpy leaves to the line loop."""
-    trace = parse_numpy_cleaned(path)
-    if trace is not None and (trace.times[:1] < 0).any():
-        return None
-    return _outcome(lambda _: trace, path)
-
-
 class TestTraceParseFuzz:
     @given(text=trace_texts())
     @settings(max_examples=600, deadline=None)
     def test_matches_the_line_loop(self, tmp_path_factory, text):
-        # and the numpy parser matches the cleaned-text parser it replaced
+        # and numpy by path reads what the cleaned-text parser it replaced
+        # read, or leaves the file to the line loop
         path = tmp_path_factory.getbasetemp() / "fuzzed-trace.csv"
         path.write_bytes(text.encode("utf-8"))
         assert _outcome(load_trace, path) == _line_loop_outcome(path)
-        assert _outcome(traffic._parse_numpy, path) == _cleaned_parser_outcome(path)
+        by_path = _outcome(traffic._parse_numpy, path)
+        assert by_path is None or by_path == _outcome(parse_numpy_cleaned, path)
 
     @pytest.mark.parametrize("data", [
         b"0.0,1500\n\xff,1500\n",
@@ -348,7 +342,7 @@ class TestTraceParseFuzz:
         "0.0,1500\n2.4,1500\n",
         "# benchmark trace\narrival_time_us,frame_size_bytes\n# frames 0+\n"
         "0.8670,1500\n3.2250,100\n# frames 2+\n3.2250,100\n",
-        "t,s\r\ntime,size\r\n 1.0 ,\t1500 \r\n\r\n  # c\r\n2.0, 1e3\r\n",
+        "t,s\r\ntime,size\r\n 1.0 ,\t1500 \r\n\r\n2.0, 1e3\r\n",
         "1.5e1,64",
     ], ids=["plain", "header-and-comments", "crlf-two-headers-padded", "no-final-newline"])
     def test_well_formed_trace_skips_the_line_loop(self, tmp_path, monkeypatch, text):
@@ -385,28 +379,23 @@ def _write_benchmark_trace(path, n_lines):
 
 
 class TestTraceParseRoutes:
-    """numpy reads the file by path when every '#' starts a line, else a cleaned copy."""
+    """numpy reads the file by path when every '#' starts a line; the line loop reads the rest."""
 
     @pytest.fixture
     def routes(self, monkeypatch):
         seen = []
-        loadtxt, skipped_line = np.loadtxt, traffic._SKIPPED_LINE
+        loadtxt, parse_lines = np.loadtxt, traffic._parse_lines
 
-        class CountingPattern:
-            def sub(self, *args):
-                seen.append("sub")
-                return skipped_line.sub(*args)
-
-        def spy(source, *args, **kwargs):
-            seen.append("path" if isinstance(source, str) else "cleaned")
+        def numpy_spy(source, *args, **kwargs):
+            seen.append("path" if isinstance(source, str) else "copy")
             return loadtxt(source, *args, **kwargs)
 
-        def no_loop(*args):
-            raise AssertionError("the line loop ran")
+        def loop_spy(path):
+            seen.append("loop")
+            return parse_lines(path)
 
-        monkeypatch.setattr(traffic.np, "loadtxt", spy)
-        monkeypatch.setattr(traffic, "_SKIPPED_LINE", CountingPattern())
-        monkeypatch.setattr(traffic, "_parse_lines", no_loop)
+        monkeypatch.setattr(traffic.np, "loadtxt", numpy_spy)
+        monkeypatch.setattr(traffic, "_parse_lines", loop_spy)
         return seen
 
     def test_benchmark_shaped_trace_is_read_by_path(self, tmp_path, routes):
@@ -420,17 +409,25 @@ class TestTraceParseRoutes:
         assert trace.sizes.tobytes() == expected.sizes.tobytes()
 
     @pytest.mark.parametrize("text, route", [
-        ("# a # b\nt,s\n0.0,1500\n2.4,100\n", ["sub", "cleaned"]),
-        ("0.0,1500\n  \t\n2.4,100\n", ["path", "sub", "cleaned"]),
-        ("0.0,1500\n  # c\n2.4,100\n", ["sub", "cleaned"]),
         ("# c\n0.0,1500\n2.4,100\n", ["path"]),
-    ], ids=["double-#-comment", "blank-line-of-spaces", "indented-comment", "column-0-comment"])
+        ("t,s\r\n# c\r\n0.0,1500\r\n2.4,100\r\n", ["path"]),
+        ("t,s\r0.0,1500\r2.4,100\r", ["path"]),
+        ("0.0,1500\n  \t\n2.4,100\n", ["path", "loop"]),
+        ("0.0,1500\n  # c\n2.4,100\n", ["loop"]),
+        ("t,s\r\ntime,size\r\n 0.0 ,\t1500 \r\n\r\n  # c\r\n2.4, 1e2\r\n", ["loop"]),
+        ("# a # b\nt,s\n0.0,1500\n2.4,100\n", ["loop"]),
+        ("t,s\r# c\r0.0,1500\r2.4,100\r", ["loop"]),     # a '#' after a lone CR
+    ], ids=["column-0-comment", "crlf", "cr-only", "blank-line-of-spaces", "indented-comment",
+            "crlf-indented-comment", "double-#-comment", "cr-only-comment"])
     def test_route(self, tmp_path, routes, text, route):
         path = tmp_path / "t.csv"
-        path.write_text(text)
+        path.write_bytes(text.encode("utf-8"))
+        expected = load_trace_lines(path)
         trace = load_trace(path)
         assert routes == route
         assert list(trace.times) == [0.0, 2.4] and list(trace.sizes) == [1500.0, 100.0]
+        assert trace.times.tobytes() == expected.times.tobytes()
+        assert trace.sizes.tobytes() == expected.sizes.tobytes()
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_plain_text_with_a_compressed_suffix(self, tmp_path, routes, suffix):
@@ -438,4 +435,20 @@ class TestTraceParseRoutes:
         path = tmp_path / f"t.csv{suffix}"
         path.write_text("0.0,1500\n2.4,100\n")
         assert list(load_trace(path).times) == [0.0, 2.4]
-        assert routes == ["sub", "cleaned"]
+        assert routes == ["loop"]
+
+    @pytest.mark.parametrize("text, route, x_line", [
+        ("0.0,1500\n2.4,1500\n4.8,1500\n", ["path"], 2),
+        ("# c\n0.0,1500\n2.4,1500\n4.8,1500\n", ["path"], 3),
+        ("0.0,1500\n  # c\n2.4,1500\n4.8,1500\n", ["loop"], 3),
+    ], ids=["plain", "comment-first", "indented-comment"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, routes, text, route, x_line):
+        # a UTF-8 BOM is not part of line 1, so line 1 keeps its frame
+        path = tmp_path / "t.csv"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        trace = load_trace(path)
+        assert routes == route
+        assert list(trace.times) == [0.0, 2.4, 4.8] and list(trace.sizes) == [1500.0] * 3
+        path.write_bytes(codecs.BOM_UTF8 + text.replace("2.4", "x").encode("utf-8"))
+        with pytest.raises(TraceFormatError, match=f"line {x_line}: non-numeric"):
+            load_trace(path)
