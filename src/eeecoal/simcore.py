@@ -57,8 +57,9 @@ class EmptyHorizonError(ValueError):
 class CycleTable(NamedTuple):
     """One row per cycle, in the order the kernel ran them (warm-up included).
 
-    Rows of a static run (``none`` and the static kinds) come from the
-    static loop, which keeps no estimate: their ``lam_hat``/``mu_hat`` are nan.
+    A static run (``none`` and the static kinds) keeps no estimate, and only
+    its ``start``, ``first`` and ``wake`` vary: ``mode``, ``v``, ``qw`` and the
+    nan ``lam_hat``/``mu_hat`` are read-only zero-stride views of its plan.
     """
 
     start: np.ndarray     # buffer-empty instant that opened the cycle, us
@@ -77,8 +78,7 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
     delays = np.empty(n, dtype=np.float64)
     # a cycle serves at least one frame, so n rows are enough
     index = np.int32 if n < 2**31 else np.int64
-    table = CycleTable(*(np.empty(n, dtype=dt) for dt in (
-        np.float64, index, np.int8, np.float64, np.float64, np.float64, np.float64, np.float64)))
+    dtypes = (np.float64, index, np.int8, np.float64, np.float64, np.float64, np.float64, np.float64)
     # The loops iterate and index memoryviews: each value is a Python float, so
     # the per-frame and per-cycle arithmetic (down to the planner's solvers) never
     # runs on numpy scalars, which is several times slower.  No copy is made.  They
@@ -87,11 +87,16 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
     # _plan_scalar and _estimate_update are looked up on the module, where
     # tracing and the tests' spies wrap them
     if kind <= 3:
-        # none and the static kinds plan the same (mode, V, Q_w) every cycle
+        # none and the static kinds plan the same (mode, V, Q_w) every cycle: only
+        # start, first and wake vary, the rest are read-only views of the plan and nan
         plan = _plan_scalar(kind, v_static, qw_static, tau, use_cubic,
                             0.0, 0.0, False, ts, tw)
+        fixed = (None, None, *plan, None, math.nan, math.nan)
+        table = CycleTable(*(np.empty(n, dt) if x is None else np.broadcast_to(dt(x), n)
+                             for x, dt in zip(fixed, dtypes)))
         c, end = _static_loop(*views, table, *plan, ts, tw)
     else:
+        table = CycleTable(*(np.empty(n, dtype=dt) for dt in dtypes))
         c, end = _adaptive_loop(*views, table, kind, tau, use_cubic, ts, tw)
     np.subtract(delays, arr, out=delays)
     return delays, CycleTable(*(col[:c] for col in table)), end
@@ -101,8 +106,8 @@ def _static_loop(arr, svc, dly, table, mode, pv, pq, ts, tw):
     """Run one fixed plan; returns (cycles, end instant).
 
     A static plan never suspends and reads no estimate, so none is kept:
-    each cycle stores its start, first frame and wake instant, and after the
-    loop every row gets the plan and nan for the estimate.
+    each cycle stores its start, first frame and wake instant, and the
+    table's other columns are the plan and nan already.
     """
     c_start, c_first, c_wake = map(memoryview, (table.start, table.first, table.wake))
     ahead = int(pq) - 1                 # frames after the first that fill the threshold
@@ -153,11 +158,6 @@ def _static_loop(arr, svc, dly, table, mode, pv, pq, ts, tw):
             j += 1
         t_empty = depart
 
-    table.mode[:c] = mode
-    table.v[:c] = pv
-    table.qw[:c] = pq
-    table.lam_hat[:c] = math.nan
-    table.mu_hat[:c] = math.nan
     return c, t_empty
 
 
@@ -308,9 +308,10 @@ class SimReport:
 
     Aggregates exclude the warm-up cycles whenever the run got past them
     (``warmed_up``); ``delays`` holds the post-warm-up queuing delay samples.
-    ``cycles`` is the cycle table of the whole run, ``arrivals`` the frame
-    arrival times and ``params`` the interface simulated; ``cycle_view``
-    reads them.
+    ``cycles`` is the cycle table of the whole run (five of its columns are
+    read-only in a static run), ``arrivals`` the frame arrival times (for a
+    trace, a read-only view of its ``times``) and ``params`` the interface
+    simulated; ``cycle_view`` reads them.
     """
 
     measured_phi: float

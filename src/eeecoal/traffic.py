@@ -130,10 +130,16 @@ class Trace:
     """A loaded trace: arrival times (us, non-decreasing) and sizes (bytes).
 
     Compared and hashed by identity, so a TrafficSpec holding one is too.
+    Its fields are read-only views of the arrays given: runs replay ``times`` uncopied.
     """
 
     times: np.ndarray
     sizes: np.ndarray
+
+    def __post_init__(self):
+        for name in ("times", "sizes"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)).view())
+            getattr(self, name).flags.writeable = False
 
     @property
     def n_frames(self) -> int:
@@ -298,22 +304,24 @@ def _draw_sizes(sizes, rng, n: int) -> np.ndarray:
 
 
 def sample_frames(spec: TrafficSpec, n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized draw of n frames: (arrival_times, sizes_bytes)."""
+    """Vectorized draw of n frames: (arrival_times, sizes_bytes).  A trace's
+    times are a read-only view of its ``times``; its sizes are a copy."""
     if spec.is_trace:
-        return spec.trace.times[:n].copy(), spec.trace.sizes[:n].copy()
+        return spec.trace.times[:n], spec.trace.sizes[:n].copy()
     if n <= 0:
         raise ValueError("n must be positive")
     rng_a, rng_s = _child_rngs(seed)
-    times = np.cumsum(_draw_interarrivals(spec.arrival, rng_a, n))
+    times = _draw_interarrivals(spec.arrival, rng_a, n)
+    np.cumsum(times, out=times)
     return times, _draw_sizes(spec.sizes, rng_s, n)
 
 
 def sample_frames_until(spec: TrafficSpec, horizon_us: float, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Draw frames with arrival times <= horizon_us."""
+    """Draw frames with arrival times <= horizon_us (a trace's times as a read-only view)."""
     if spec.is_trace:
         trace = spec.trace
         k = int(np.searchsorted(trace.times, horizon_us, side="right"))
-        return trace.times[:k].copy(), trace.sizes[:k].copy()
+        return trace.times[:k], trace.sizes[:k].copy()
     if horizon_us <= 0:
         raise ValueError("horizon must be positive")
     rng_a, rng_s = _child_rngs(seed)
@@ -327,7 +335,8 @@ def sample_frames_until(spec: TrafficSpec, horizon_us: float, seed) -> tuple[np.
         parts.append(ia)
         total += float(ia.sum())
         count += chunk
-    times = np.cumsum(np.concatenate(parts))
+    times = np.concatenate(parts)
+    np.cumsum(times, out=times)
     k = int(np.searchsorted(times, horizon_us, side="right"))
     return times[:k], _draw_sizes(spec.sizes, rng_s, k)
 
@@ -368,13 +377,15 @@ def measured_stats(times: np.ndarray, sizes: np.ndarray, line_rate: float) -> Tr
     if len(times) < 2:
         raise ValueError("need at least two frames to measure moments")
     ia = np.diff(times)
-    mean_ia = float(ia.mean())
+    mean_ia, var_ia = float(ia.mean()), float(ia.var())
+    del ia                              # not held while the service times are built
     if mean_ia <= 0:
         raise ValueError("degenerate trace: zero time span")
-    svc = np.asarray(sizes, dtype=np.float64) * 8.0 / (line_rate * 1e-6)
+    svc = np.multiply(sizes, 8.0, dtype=np.float64)
+    svc /= line_rate * 1e-6
     return TrafficStats(
         lam=1.0 / mean_ia,
         mu=1.0 / float(svc.mean()),
-        var_interarrival=float(ia.var()),
+        var_interarrival=var_ia,
         var_service=float(svc.var()),
     )

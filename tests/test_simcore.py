@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,25 @@ class TestCycleSemantics:
         assert np.all(cyc.mode == MODE_DUAL)
         assert np.all(cyc.v == 24.0) and np.all(cyc.qw == 12)
 
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.label())
+    def test_static_run_stores_only_the_columns_it_varies(self, params, policy):
+        # mode, v, qw and the estimate of a static run are read-only
+        # zero-stride views of its plan and of nan; every column of an
+        # adaptive run is written row by row.  The dtypes are the same.
+        cyc = run(poisson_1500(1), policy, params, n_frames=2000, seed=1).cycles
+        assert [col.dtype for col in cyc] == [np.float64, np.int32, np.int8] + [np.float64] * 5
+        constant = () if policy.is_dynamic else ("mode", "v", "qw", "lam_hat", "mu_hat")
+        for name, col in cyc._asdict().items():
+            assert col.flags.writeable == (name not in constant), name
+            assert (col.strides == (0,)) == (name in constant), name
+        if not policy.is_dynamic:
+            plan = _plan_scalar(policy.kind, float(policy.v), float(policy.qw), policy.tau,
+                                False, 0.0, 0.0, False, params.ts, params.tw)
+            assert [cyc.mode[0], cyc.v[0], cyc.qw[0]] == list(plan)
+            assert np.isnan(cyc.lam_hat).all() and np.isnan(cyc.mu_hat).all()
+            with pytest.raises(ValueError, match="read-only"):
+                cyc.mode[0] = MODE_SUSPEND
+
     def test_kernel_plans_match_policy_api(self, params):
         # re-derive every recorded adaptive plan from the recorded estimate
         cfg = PolicyConfig.dynamic_timer(16.0)
@@ -308,6 +328,31 @@ class TestReportShape:
         trace.write_text("".join(f"{2.4 * i:.4f},1500\n" for i in range(500)))
         rep = run(TrafficSpec(trace=load_trace(trace)), PolicyConfig.none(), params, seed=0)
         assert rep.n_frames == 500
+
+    @pytest.mark.parametrize("horizon", [{}, {"n_frames": 400}, {"time_us": 900.0}],
+                             ids=["whole", "frames", "time"])
+    def test_trace_run_replays_the_trace_times_uncopied(self, params, tmp_path, horizon):
+        spec = _duplicate_time_trace(tmp_path / "dup.csv")
+        for policy in (PolicyConfig.static_size(12), PolicyConfig.dynamic_timer(16.0)):
+            rep = run(spec, policy, params, seed=0, **horizon)
+            assert np.shares_memory(rep.arrivals, spec.trace.times)
+            with pytest.raises(ValueError, match="read-only"):
+                rep.arrivals[0] = -1.0
+
+    def test_static_run_working_set(self, params):
+        # none at 1 Gb/s opens a cycle for about two frames in three, and its
+        # report keeps the arrivals, the delays and a table with n rows: 16
+        # bytes a frame and 20 a row for start, first and wake
+        n = 200_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rep = run(poisson_1500(1), PolicyConfig.none(), params, n_frames=n, seed=1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rep.n_cycles > n // 2
+        assert retained / n <= 40.0
 
 
 class TestDelayCdf:
