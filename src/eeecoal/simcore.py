@@ -4,11 +4,21 @@ The interface cycles through Active -> GoingToSleep -> LPI -> Waking ->
 Active.  Whenever the transmit buffer empties the configured policy is
 consulted: unless it suspends sleeping, the interface enters an
 uninterruptible sleep transition of length ``ts`` and then idles in LPI
-until the policy's wake condition fires (timer counted from the first
-arrival of the cycle, queue threshold, or whichever of the two comes
-first).  Waking takes ``tw``; after that the queue drains FIFO, one frame
-at a time, at the line rate.  Transitions are billed at active power, LPI
-at ``phi_off``.
+until the wake instant.  Waking takes ``tw``; after that the queue drains
+FIFO, one frame at a time, at the line rate.  Transitions are billed at
+active power, LPI at ``phi_off``.
+
+Every sleeping cycle wakes by one rule.  With ``t_empty`` the instant the
+buffer emptied, ``a`` the cycle's first arrival and ``A_q`` the arrival of
+its ``q``-th frame, the wake instant is
+
+    min(a + V, max(A_q, t_empty + ts)),
+
+where the mechanism a plan lacks is infinite: V for a threshold (and
+``none``, which is q = 1), q for a timer.  A threshold that the stream ends
+before filling takes A_q as its final arrival, so the run drains (an
+artifact of a finite stream that touches only the last cycle); a dual plan
+takes A_q = inf and waits for its timer.  A suspended cycle wakes at once.
 
 Because wake conditions depend only on arrival times, the whole run reduces
 to a single pass over the (pre-drawn) arrival array; the pass is the hot
@@ -19,16 +29,17 @@ before the previous departure, so it starts at that departure.  An inner
 ``for`` over the shared iterator drains the busy period and stops at the
 arrival that opens the next cycle, so each frame is read once, and the
 service starts it writes become delays in one subtraction after the pass.
-The kernel has two loops.  ``none`` and the static policies plan
-the same wake rule every cycle and read no traffic estimate, so the static
-loop plans once per run and keeps no estimate; the adaptive loop plans
-every cycle from the EWMA estimate it updates.  The kernel records two
-things exactly: each frame's queuing delay (service start minus arrival)
-and one row per cycle, the cycle table (``CycleTable``: start, first frame,
-planned mode, V and Q_w, wake instant, and the estimate the plan used, which
-is nan in the rows of a static run).  Every aggregate of a ``SimReport`` is
-a reduction over the table's rows after a warm-up prefix, and
-``cycle_view`` derives the per-cycle sleep, delay and frame counts from them.
+The kernel has two loops.  ``none`` and the static policies plan the same
+(mode, V, Q_w) every cycle and read no traffic estimate, so the static loop
+plans once per run, fixes the rule's terms and keeps no estimate; the
+adaptive loop plans every cycle from the EWMA estimate it updates.  The
+kernel records two things exactly: each frame's queuing delay (service
+start minus arrival) and one row per cycle, the cycle table (``CycleTable``:
+start, first frame, planned mode, V and Q_w, wake instant, and the estimate
+the plan used, which is nan in the rows of a static run).  Every aggregate
+of a ``SimReport`` is a reduction over the table's rows after a warm-up
+prefix, and ``cycle_view`` derives the per-cycle sleep, delay and frame
+counts from them.
 """
 
 import math
@@ -110,34 +121,30 @@ def _static_loop(arr, svc, dly, table, mode, pv, pq, ts, tw):
     table's other columns are the plan and nan already.
     """
     c_start, c_first, c_wake = map(memoryview, (table.start, table.first, table.wake))
-    ahead = int(pq) - 1                 # frames after the first that fill the threshold
     n = len(arr)
+    # the wake rule's terms, fixed for the run: what the plan lacks is
+    # infinite, V for a threshold and Q_w for a timer (its A_q is never in
+    # the stream); past the stream's end A_q is the final arrival for a
+    # threshold and inf for a dual
+    timer = math.inf if mode == 2 else pv
+    ahead = n if mode == 1 else int(pq) - 1    # frames after the first that fill the threshold
+    tail = arr[n - 1] if mode == 2 else math.inf
     frames = zip(arr, svc)
     a, s = next(frames)                 # the first frame opens cycle 0 at t_empty = 0
     j = 0
     t_empty = 0.0
     c = 0
     while j < n:
-        # (a, s) is frame j, the first of cycle c
-        if mode == 1:
-            wake = a + pv
-        else:
-            qi = j + ahead
-            if qi < n:
-                wake = arr[qi]
-            elif mode == 2:
-                # stream ends before the threshold fills: wake at the final
-                # arrival so the run drains (truncation artifact)
-                wake = arr[n - 1]
-            else:
-                wake = math.inf         # dual: the timer alone wakes the link
-            sleep_end = t_empty + ts
-            if wake < sleep_end:
-                wake = sleep_end
-            if mode == 3:
-                t_timer = a + pv
-                if t_timer < wake:
-                    wake = t_timer
+        # (a, s) is frame j, the first of cycle c: wake at
+        # min(a + V, max(A_q, t_empty + ts))
+        qi = j + ahead
+        wake = arr[qi] if qi < n else tail
+        sleep_end = t_empty + ts
+        if wake < sleep_end:
+            wake = sleep_end
+        t_timer = a + timer
+        if t_timer < wake:
+            wake = t_timer
         c_start[c] = t_empty
         c_first[c] = j
         c_wake[c] = wake
@@ -173,30 +180,28 @@ def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
     est_valid = False
 
     n = len(arr)
+    # cold start: until a cycle with >= 2 frames completes, the estimate is
+    # seeded from the first positive interarrival gap and the first frame's
+    # service, in the first cycle that opens past that gap (never, if the
+    # stream has no such gap)
+    gap_at = n
+    if svc[0] > 0.0:
+        gap_at = next((k for k in range(1, n) if arr[k] - arr[k - 1] > 0.0), n)
     frames = zip(arr, svc)
     a, s = next(frames)                 # the first frame opens cycle 0 at t_empty = 0
     j = 0
     t_empty = 0.0
     c = 0
     while j < n:
-        # (a, s) is frame j, the first of cycle c.  Cold start: until a cycle
-        # with >= 2 frames completes, seed the estimate from the first
-        # positive interarrival gap and frame size
-        if not est_valid and j >= 2:
-            for k in range(1, j):
-                gap = arr[k] - arr[k - 1]
-                if gap > 0.0 and svc[0] > 0.0:
-                    est_frames = 1.0
-                    est_duration = gap
-                    est_service = svc[0]
-                    est_valid = True
-                    break
+        # (a, s) is frame j, the first of cycle c
+        if not est_valid and j > gap_at:
+            est_frames, est_duration, est_service = 1.0, arr[gap_at] - arr[gap_at - 1], svc[0]
+            est_valid = True
         if est_valid:
             plan_lam = est_frames / est_duration
             plan_mu = est_frames / est_service
         else:
-            plan_lam = 0.0
-            plan_mu = 0.0
+            plan_lam = plan_mu = math.nan
         mode, pv, pq = _plan_scalar(kind, 0.0, 0.0, tau, use_cubic,
                                     plan_lam, plan_mu, est_valid, ts, tw)
 
@@ -223,8 +228,8 @@ def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
         c_v[c] = pv
         c_qw[c] = pq
         c_wake[c] = wake
-        c_lam[c] = plan_lam if est_valid else math.nan
-        c_mu[c] = plan_mu if est_valid else math.nan
+        c_lam[c] = plan_lam
+        c_mu[c] = plan_mu
         c += 1
 
         # drain FIFO until the buffer empties: the first frame starts when

@@ -329,16 +329,15 @@ def sample_frames_until(spec: TrafficSpec, horizon_us: float, seed) -> tuple[np.
     chunk = max(1024, int(lam * horizon_us * 1.1) + 1)
     parts = []
     total = 0.0
-    count = 0
     while total <= horizon_us:
         ia = _draw_interarrivals(spec.arrival, rng_a, chunk)
         parts.append(ia)
         total += float(ia.sum())
-        count += chunk
     times = np.concatenate(parts)
     np.cumsum(times, out=times)
     k = int(np.searchsorted(times, horizon_us, side="right"))
-    return times[:k], _draw_sizes(spec.sizes, rng_s, k)
+    # a copy of the k kept frames, so the surplus drawn past the horizon is freed
+    return times[:k].copy(), _draw_sizes(spec.sizes, rng_s, k)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eeecoal import (
     BimodalSize,
@@ -19,7 +21,7 @@ from eeecoal import (
     run,
 )
 from eeecoal import analytic, simcore
-from eeecoal.policy import MODE_DUAL, MODE_SUSPEND, MODE_TIMER, _plan_scalar
+from eeecoal.policy import MODE_DUAL, MODE_SUSPEND, MODE_THRESHOLD, MODE_TIMER, _plan_scalar
 from eeecoal.simcore import SimReport, StateResidency
 
 from conftest import LAM_5G, MU_10G_1500B, W0_5G
@@ -322,6 +324,14 @@ class TestReportShape:
                   time_us=50000.0, seed=44)
         assert rep.n_frames > 0
         assert rep.duration_us >= 0
+
+    def test_time_horizon_keeps_only_the_frames_it_serves(self, params):
+        # generated arrivals are drawn past the horizon in chunks; the report
+        # holds an array of the kept frames alone, not a view of every draw
+        rep = run(poisson_1500(5), PolicyConfig.none(), params, time_us=240_000.0, seed=1)
+        assert rep.arrivals.base is None
+        assert rep.arrivals.size == rep.n_frames > 99_000
+        assert rep.arrivals[-1] <= 240_000.0
 
     def test_trace_replay_default_horizon(self, params, tmp_path):
         trace = tmp_path / "t.csv"
@@ -646,3 +656,65 @@ class TestAgainstCycleTableKernel:
             else:
                 assert plans == [policy.kind]
                 assert updates == []
+
+
+def wake_by_rule(rep):
+    """Every cycle's wake instant, recomputed from the table's plans, the arrivals and ts.
+
+    A sleeping cycle wakes at min(a + V, max(A_q, start + ts)), with a its
+    first arrival and A_q the arrival that fills its threshold; the mechanism
+    a plan lacks is infinite.  Past the stream's end A_q is the final arrival
+    for a threshold and inf for a dual.  A suspended cycle wakes at its start.
+    """
+    cyc, arr = rep.cycles, rep.arrivals
+    mode = cyc.mode
+    has_timer = (mode == MODE_TIMER) | (mode == MODE_DUAL)
+    has_threshold = (mode == MODE_THRESHOLD) | (mode == MODE_DUAL)
+    first = cyc.first.astype(np.int64)
+    qi = first + cyc.qw.astype(np.int64) - 1
+    filled = has_threshold & (qi < len(arr))
+    tail = np.where(mode == MODE_THRESHOLD, arr[-1], np.inf)
+    a_q = np.where(filled, arr[np.clip(qi, 0, len(arr) - 1)], tail)
+    timer = np.where(has_timer, arr[first] + cyc.v, np.inf)
+    threshold = np.where(has_threshold, np.maximum(a_q, cyc.start + rep.params.ts), np.inf)
+    return np.where(mode == MODE_SUSPEND, cyc.start, np.minimum(timer, threshold))
+
+
+class TestWakeRule:
+    """One expression gives every cycle's wake instant, written apart from the kernel's loops."""
+
+    @pytest.mark.parametrize("traffic", list(TestAgainstCycleTableKernel.KERNEL_TRAFFIC))
+    @pytest.mark.parametrize("policy", POLICIES + [PolicyConfig.dynamic_timer(0.5),
+                                                   PolicyConfig.static_size(40),
+                                                   PolicyConfig.static_dual(500.0, 40)],
+                             ids=lambda p: f"{p.label()}-{p.tau:g}")
+    def test_every_wake_follows_the_rule(self, params, tmp_path, policy, traffic):
+        spec = TestAgainstCycleTableKernel.KERNEL_TRAFFIC[traffic](tmp_path)
+        horizon = {} if spec.is_trace else {"n_frames": 6000}
+        rep = run(spec, policy, params, seed=5, **horizon)
+        assert _bits(rep.cycles.wake) == _bits(wake_by_rule(rep))
+
+
+# (gap to the previous arrival, size) per frame: arrivals in whole us, with
+# ties; 100, 1250 and 2500 bytes take 0.08, 1 and 2 us at 10 Gb/s, so frames
+# also arrive exactly as the buffer empties
+SHORT_TRACES = st.lists(st.tuples(st.integers(0, 6), st.sampled_from([100, 1250, 2500])),
+                        min_size=1, max_size=80)
+
+
+class TestKernelFuzz:
+    """The kernel agrees with both oracle kernels on short hand-built traces."""
+
+    @given(frames=SHORT_TRACES)
+    @example(frames=[(3, 1250)] + [(0, 1250)] * 29)     # one instant: the estimate never seeds
+    @settings(max_examples=150, deadline=None)
+    def test_short_traces(self, frames):
+        params = EeeParams(ts=2.0, tw=4.0)
+        gaps, sizes = zip(*frames)
+        arr = np.cumsum(np.array(gaps, dtype=np.float64))
+        svc = np.array(sizes, dtype=np.float64) * 8.0 / params.rate_bits_per_us
+        for policy in POLICIES + [PolicyConfig.dynamic_timer(0.5)]:
+            args = (arr, svc, policy.kind, float(policy.v), float(policy.qw), float(policy.tau),
+                    policy.solver == "cubic", params.ts, params.tw)
+            new = simcore._sim_kernel(*args)
+            assert_same_kernel_output(new, [oracle(*args) for oracle in ORACLE_KERNELS], policy)
