@@ -27,8 +27,10 @@ service times.  A cycle's first frame starts at the later of its arrival and
 the end of the wake transition; each later frame of the busy period arrived
 before the previous departure, so it starts at that departure.  An inner
 ``for`` over the shared iterator drains the busy period and stops at the
-arrival that opens the next cycle, so each frame is read once, and the
-service starts it writes become delays in one subtraction after the pass.
+arrival that opens the next cycle, so each frame is read once.  Each
+frame's service start is stored over the service time just read from the
+same buffer, and one subtraction after the pass makes the starts delays: a
+run holds two frame-sized arrays, not three.
 The kernel has two loops.  ``none`` and the static policies plan the same
 (mode, V, Q_w) every cycle and read no traffic estimate, so the static loop
 plans once per run, fixes the rule's terms and keeps no estimate; the
@@ -84,9 +86,13 @@ class CycleTable(NamedTuple):
 
 
 def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
-    """Serve the frames, at least one; returns (per-frame delays, cycle table, end instant)."""
+    """Serve the frames, at least one; returns (per-frame delays, cycle table, end instant).
+
+    The delays are written over ``svc``: the shared ``zip(arr, svc)`` of the
+    loops yields frame j's service time before they store its service start.
+    """
     n = arr.shape[0]
-    delays = np.empty(n, dtype=np.float64)
+    delays = svc
     # a cycle serves at least one frame, so n rows are enough
     index = np.int32 if n < 2**31 else np.int64
     dtypes = (np.float64, index, np.int8, np.float64, np.float64, np.float64, np.float64, np.float64)
@@ -184,8 +190,10 @@ def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
     # seeded from the first positive interarrival gap and the first frame's
     # service, in the first cycle that opens past that gap (never, if the
     # stream has no such gap)
+    # svc[0] is read before the pass, which writes a service start over it
+    svc_0 = svc[0]
     gap_at = n
-    if svc[0] > 0.0:
+    if svc_0 > 0.0:
         gap_at = next((k for k in range(1, n) if arr[k] - arr[k - 1] > 0.0), n)
     frames = zip(arr, svc)
     a, s = next(frames)                 # the first frame opens cycle 0 at t_empty = 0
@@ -195,7 +203,7 @@ def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
     while j < n:
         # (a, s) is frame j, the first of cycle c
         if not est_valid and j > gap_at:
-            est_frames, est_duration, est_service = 1.0, arr[gap_at] - arr[gap_at - 1], svc[0]
+            est_frames, est_duration, est_service = 1.0, arr[gap_at] - arr[gap_at - 1], svc_0
             est_valid = True
         if est_valid:
             plan_lam = est_frames / est_duration
@@ -367,10 +375,11 @@ def run(traffic: TrafficSpec, policy: PolicyConfig, params: EeeParams = EeeParam
 
     times = np.ascontiguousarray(times, dtype=np.float64)
     # service times, computed in the drawn sizes array (a fresh copy for
-    # traces too), which is needed no more
+    # traces too), which is needed no more; the kernel writes the delays over it
     svc = np.ascontiguousarray(sizes, dtype=np.float64)
     svc *= 8.0
     svc /= params.rate_bits_per_us
+    serving = float(svc.sum())
     delays, cycles, end = _sim_kernel(
         times,
         svc,
@@ -403,7 +412,6 @@ def run(traffic: TrafficSpec, policy: PolicyConfig, params: EeeParams = EeeParam
 
     suspended = np.flatnonzero(cycles.mode == MODE_SUSPEND)
     n_sleeps = n_cycles - len(suspended)
-    serving = float(svc.sum())
     span = float(times[-1] - times[0])
     offered = serving / span if span > 0 else math.inf
 

@@ -201,9 +201,13 @@ def _parse_numpy(path) -> Trace | None:
                            delimiter=",", comments="#", dtype=np.float64, ndmin=2)
     except (StopIteration, ValueError):     # no data line, or a fault the loop names
         return None
+    # the checks allocate a byte a cell (or a frame) at most, and the table is
+    # freed once its columns are copied
+    if not np.isfinite(table).all():
+        return None
     times, sizes = np.ascontiguousarray(table.T)
-    if (np.isfinite(table).all() and (sizes > 0).all() and (times[:1] >= 0).all()
-            and (np.diff(times) >= 0).all()):
+    del table
+    if (sizes > 0).all() and (times[:1] >= 0).all() and (times[1:] >= times[:-1]).all():
         return Trace(times=times, sizes=sizes)
     return None
 

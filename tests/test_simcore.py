@@ -23,6 +23,7 @@ from eeecoal import (
 from eeecoal import analytic, simcore
 from eeecoal.policy import MODE_DUAL, MODE_SUSPEND, MODE_THRESHOLD, MODE_TIMER, _plan_scalar
 from eeecoal.simcore import SimReport, StateResidency
+from eeecoal.traffic import sample_frames
 
 from conftest import LAM_5G, MU_10G_1500B, W0_5G
 import oracles
@@ -58,7 +59,6 @@ class TestConservation:
 
     def test_service_starts_nondecreasing(self, params):
         spec = poisson_1500(5)
-        from eeecoal.traffic import sample_frames
         times, _ = sample_frames(spec, 20000, seed=3)
         rep = run(spec, PolicyConfig.static_size(12), params,
                   n_frames=20000, seed=3, warmup_cycles=0)
@@ -352,17 +352,20 @@ class TestReportShape:
     def test_static_run_working_set(self, params):
         # none at 1 Gb/s opens a cycle for about two frames in three, and its
         # report keeps the arrivals, the delays and a table with n rows: 16
-        # bytes a frame and 20 a row for start, first and wake
+        # bytes a frame and 20 a row for start, first and wake.  At its peak
+        # the run holds no more than these (the kernel writes the delays over
+        # the service times) and the aggregates' per-cycle temporaries
         n = 200_000
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             rep = run(poisson_1500(1), PolicyConfig.none(), params, n_frames=n, seed=1)
-            retained = tracemalloc.get_traced_memory()[0] - before
+            retained, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         assert rep.n_cycles > n // 2
         assert retained / n <= 40.0
+        assert peak / n <= 44.0
 
 
 class TestDelayCdf:
@@ -518,19 +521,25 @@ class TestAgainstSummaryKernel:
 ORACLE_KERNELS = (oracles.sim_kernel_table, oracles.sim_kernel_two_loops)
 
 
+def _own_svc(args):
+    """The kernel arguments with a copy of ``svc``, which ``_sim_kernel`` writes the delays over."""
+    arr, svc, *rest = args
+    return (arr, svc.copy(), *rest)
+
+
 def _kernel_and_oracles(monkeypatch, spec, policy, params, **horizon):
     """The output of ``_sim_kernel`` on the inputs ``run`` made, and each oracle kernel's."""
     calls = []
     kernel = simcore._sim_kernel
 
     def spy(*args):
-        calls.append(args)
+        calls.append(_own_svc(args))
         return kernel(*args)
 
     monkeypatch.setattr(simcore, "_sim_kernel", spy)
     run(spec, policy, params, seed=5, **horizon)
     (args,) = calls
-    return kernel(*args), [oracle(*args) for oracle in ORACLE_KERNELS]
+    return kernel(*_own_svc(args)), [oracle(*_own_svc(args)) for oracle in ORACLE_KERNELS]
 
 
 def assert_same_kernel_output(new, olds, policy):
@@ -629,6 +638,18 @@ class TestAgainstCycleTableKernel:
             times = np.loadtxt(trace, delimiter=",")[:, 0]
             assert np.any(cycles.start[1:] == times[cycles.first[1:]])
 
+    @pytest.mark.parametrize("policy", [PolicyConfig.static_size(12), PolicyConfig.dynamic_size(16.0)],
+                             ids=lambda p: p.label())
+    def test_delays_are_written_over_the_service_times(self, params, policy):
+        times, sizes = sample_frames(poisson_1500(5), 2000, 3)
+        svc = sizes * 8.0 / params.rate_bits_per_us
+        arr = times.copy()
+        delays, _, _ = simcore._sim_kernel(
+            arr, svc, policy.kind, float(policy.v), float(policy.qw), float(policy.tau),
+            policy.solver == "cubic", params.ts, params.tw)
+        assert np.shares_memory(delays, svc)
+        assert arr.tobytes() == times.tobytes()
+
     def test_static_kinds_plan_once_per_run(self, params, monkeypatch):
         # a static run plans once and keeps no estimate; an adaptive one
         # plans and updates its estimate once per cycle
@@ -716,5 +737,6 @@ class TestKernelFuzz:
         for policy in POLICIES + [PolicyConfig.dynamic_timer(0.5)]:
             args = (arr, svc, policy.kind, float(policy.v), float(policy.qw), float(policy.tau),
                     policy.solver == "cubic", params.ts, params.tw)
-            new = simcore._sim_kernel(*args)
-            assert_same_kernel_output(new, [oracle(*args) for oracle in ORACLE_KERNELS], policy)
+            new = simcore._sim_kernel(*_own_svc(args))
+            assert_same_kernel_output(new, [oracle(*_own_svc(args)) for oracle in ORACLE_KERNELS],
+                                      policy)

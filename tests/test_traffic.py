@@ -1,6 +1,7 @@
 import codecs
 import importlib.util
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,21 @@ class TestTraceParseRoutes:
         assert trace.n_frames == 25_000
         assert trace.times.tobytes() == expected.times.tobytes()
         assert trace.sizes.tobytes() == expected.sizes.tobytes()
+
+    def test_benchmark_shaped_trace_peak(self, tmp_path):
+        # numpy's table and the copy of its columns are the largest arrays
+        # alive at once, 16 bytes a frame each; the checks add at most a byte
+        # a cell
+        path = tmp_path / "t.csv"
+        _write_benchmark_trace(path, 25_000)
+        load_trace(path)            # the first load in a process fills one-time caches
+        tracemalloc.start()
+        try:
+            trace = load_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * (trace.times.nbytes + trace.sizes.nbytes)
 
     @pytest.mark.parametrize("text, route", [
         ("# c\n0.0,1500\n2.4,100\n", ["path"]),
