@@ -89,23 +89,8 @@ class Load:
     stats: TrafficStats | None        # None without stable-model stats (overload)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    mode: str
-    taus_us: tuple[float, ...]
-    policies: tuple[tuple[PolicyConfig, ...], ...]   # per config line; adaptive: per tau
-    loads: tuple[Load, ...]                          # per rate, or the one trace
-    params: EeeParams
-    horizon: dict                                    # run() keyword: n_frames or time_us
-    warmup_cycles: int
-    cdf_bin_us: float
-    seed: int
-    out_dir: Path
-    jobs: int
-
-
-def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
-    """Resolve the whole experiment, raising ConfigError on any fault in it."""
+def build_spec(mode: str, cfg: Config, args) -> list[tuple[str, list["_Point"]]]:
+    """The points of each output CSV, in row order; ConfigError on any fault in the experiment."""
     cfg.check_known(ALLOWED_KEYS)
     trace_path = cfg.get_str("trace")
     arrival_text = cfg.get_str("arrival")
@@ -142,22 +127,23 @@ def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
     if horizon_frames is not None and horizon_time is not None:
         raise ConfigError("give horizon_frames or horizon_time_us, not both")
 
-    policies = tuple(_policy_line(p, taus) for p in cfg.get_str_list("policy"))
+    lines = [_policy_cells(p, taus) for p in cfg.get_str_list("policy")]
     labels = set()
-    for line in policies:
-        for policy in line:
+    for cells in lines:
+        for policy, _ in cells:
             policy.validate_against(params)
         # the label names the line's output files
-        if line[0].label() in labels:
-            raise ConfigError(f"policy: two lines share the label {line[0].label()!r}; "
+        label = cells[0][0].label()
+        if label in labels:
+            raise ConfigError(f"policy: two lines share the label {label!r}; "
                               "their outputs would overwrite each other")
-        labels.add(line[0].label())
+        labels.add(label)
 
     if trace_path is None and not rates:
         raise ConfigError("rate_gbps: need at least one rate (or use a trace)")
     if trace_path is not None and rates:
         raise ConfigError("rate_gbps: a trace is replayed at its own rate; drop rate_gbps")
-    if mode != "bound" and not policies:
+    if mode != "bound" and not lines:
         raise ConfigError("policy: need at least one policy")
     if mode == "bound" and not taus:
         raise ConfigError("tau_us: bound mode needs at least one target delay")
@@ -189,27 +175,24 @@ def build_spec(mode: str, cfg: Config, args) -> ExperimentSpec:
             print(f"warning: rate {r:g} Gb/s >= line rate {params.line_rate / 1e9:g} Gb/s, "
                   "expect overload", file=sys.stderr)
 
-    return ExperimentSpec(
-        mode=mode,
-        taus_us=taus,
-        policies=policies,
-        loads=tuple(Load(rate, tspec, _stats_for(tspec, params)) for rate, tspec in sources),
-        params=params,
-        horizon=horizon,
-        warmup_cycles=warmup_cycles,
-        cdf_bin_us=cdf_bin_us,
-        seed=args.seed if args.seed is not None else cfg.get_int("seed", 0),
-        out_dir=Path(args.out),
-        jobs=args.jobs if mode in SIM_MODES else 1,     # closed forms run in-process
-    )
+    loads = [Load(rate, tspec, _stats_for(tspec, params)) for rate, tspec in sources]
+    seed = args.seed if args.seed is not None else cfg.get_int("seed", 0)
+    if mode == "bound":
+        groups = [("bound", [(PolicyConfig.none(), tau) for tau in taus])]
+    else:
+        groups = [(f"{mode}_{cells[0][0].label()}", cells) for cells in lines]
+    index = itertools.count()
+    return [(name, [_Point(mode, policy, load, tau, next(index), params, horizon, warmup_cycles,
+                           cdf_bin_us, seed)
+                    for load in loads for policy, tau in cells])
+            for name, cells in groups]
 
 
-def _policy_line(text: str, taus: tuple[float, ...]) -> tuple[PolicyConfig, ...]:
-    """The policies of one config line: one per tau for an adaptive kind."""
-    if not taus:
-        return (PolicyConfig.parse(text),)
-    grid = tuple(PolicyConfig.parse(text, tau) for tau in taus)
-    return grid if grid[0].is_dynamic else grid[:1]
+def _policy_cells(text: str, taus: tuple[float, ...]) -> list[tuple[PolicyConfig, float | None]]:
+    """The (policy, tau) pairs of one config line: one per tau for an adaptive kind,
+    otherwise one pair with tau None."""
+    policies = [PolicyConfig.parse(text, tau) for tau in taus] or [PolicyConfig.parse(text)]
+    return [(p, p.tau) for p in policies] if policies[0].is_dynamic else [(policies[0], None)]
 
 
 def _stats_for(tspec: TrafficSpec, params: EeeParams) -> TrafficStats | None:
@@ -247,21 +230,6 @@ class _Point:
     warmup_cycles: int
     cdf_bin_us: float
     seed: int
-
-
-def _grid(spec: ExperimentSpec) -> list[tuple[str, list[_Point]]]:
-    """The points of each output CSV, in row order."""
-    if spec.mode == "bound":
-        lines = [("bound", [(PolicyConfig.none(), tau) for tau in spec.taus_us])]
-    else:
-        lines = [(f"{spec.mode}_{line[0].label()}",
-                  [(p, p.tau if p.is_dynamic else None) for p in line])
-                 for line in spec.policies]
-    index = itertools.count()
-    return [(name, [_Point(spec.mode, policy, load, tau, next(index), spec.params, spec.horizon,
-                           spec.warmup_cycles, spec.cdf_bin_us, spec.seed)
-                    for load in spec.loads for policy, tau in cells])
-            for name, cells in lines]
 
 
 def _where(point: _Point) -> str:
@@ -358,29 +326,29 @@ def _cdf_filename(point: _Point) -> str:
     return f"cdf_{point.policy.label()}_{rate}{tau}.csv"
 
 
-def run_experiment(spec: ExperimentSpec) -> list[Path]:
+def run_experiment(groups: list[tuple[str, list[_Point]]], out_dir: Path, jobs: int) -> list[Path]:
     """Execute all grid points and write CSVs; returns the written paths.
 
     Every point is computed before the output directory is made, so a fault
     that only a run finds leaves no output behind.
     """
-    groups = _grid(spec)
     points = [point for _, group in groups for point in group]
-    if spec.mode == "sim" and len(points) > 1:
+    mode = points[0].mode
+    if mode == "sim" and len(points) > 1:
         print(f"note: sim mode with {len(points)} grid points; use sweep for grids",
               file=sys.stderr)
-    results = iter(_map_points(_cdf_point if spec.mode == "cdf" else _row, points, spec.jobs))
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
+    results = iter(_map_points(_cdf_point if mode == "cdf" else _row, points, jobs))
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, group in groups:
-        if spec.mode == "cdf":
+        if mode == "cdf":
             for point, (edges, cdf) in zip(group, results):
-                path = spec.out_dir / _cdf_filename(point)
+                path = out_dir / _cdf_filename(point)
                 rows = [{"delay_us": float(e), "cdf": float(c)} for e, c in zip(edges, cdf)]
                 _write_csv(path, ["delay_us", "cdf"], rows)
                 written.append(path)
         else:
-            path = spec.out_dir / f"{name}.csv"
+            path = out_dir / f"{name}.csv"
             _write_csv(path, COLUMNS, [next(results) for _ in group])
             written.append(path)
     return written
@@ -423,8 +391,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        spec = build_spec(args.mode, Config.load(args.config), args)
-        written = run_experiment(spec)
+        groups = build_spec(args.mode, Config.load(args.config), args)
+        jobs = args.jobs if args.mode in SIM_MODES else 1     # closed forms run in-process
+        written = run_experiment(groups, Path(args.out), jobs)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -277,6 +277,28 @@ seed = 5
         assert cdfs == sorted(cdfs)
         assert cdfs[-1] == 1.0
 
+    def test_parallel_jobs_identical(self, tmp_path):
+        cfg = write_cfg(tmp_path / "e.cfg", """\
+arrival = poisson
+sizes = fixed(1500)
+rate_gbps = 3
+rate_gbps = 6
+tau_us = 32
+policy = dynamic_timer
+policy = static_size(12)
+horizon_frames = 5000
+seed = 5
+""")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["cdf", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["cdf", "--config", cfg, "--out", str(b), "--jobs", "2"]) == 0
+        names = sorted(f.name for f in a.iterdir())
+        assert names == sorted(f.name for f in b.iterdir())
+        assert names == ["cdf_dynamic_timer_3gbps_32us.csv", "cdf_dynamic_timer_6gbps_32us.csv",
+                         "cdf_static_size_12_3gbps.csv", "cdf_static_size_12_6gbps.csv"]
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
 
 class TestTraceMode:
     def test_trace_sweep(self, tmp_path):
