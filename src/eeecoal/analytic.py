@@ -245,45 +245,18 @@ def optimal_threshold_approx(tau, lam, tw, w0):
     return q
 
 
-def _cubic_real_roots(a, b, c):
-    """Real roots of x^3 + a x^2 + b x + c in ascending order.
-
-    Cardano's formula when there is one real root, the trigonometric form
-    when there are three; each root then takes two Newton steps, which
-    recover the digits the closed form loses to cancellation.
-    """
-    s = a / 3.0
-    p = b - a * s                       # depressed cubic t^3 + p t + r,
-    r = (2.0 * s * s - b) * s + c       # with x = t - s
-    disc = 0.25 * r * r + p * p * p / 27.0
-    if disc > 0.0:
-        # u^3 = -r/2 -+ sqrt(disc), sign chosen so the two terms do not cancel
-        y = -0.5 * r - math.copysign(math.sqrt(disc), r)
-        u = math.copysign(abs(y) ** (1.0 / 3.0), y)
-        ts = (u - p / (3.0 * u),)
-    else:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        cos3 = 3.0 * r / (p * m) if p != 0.0 else 0.0
-        theta = math.acos(min(1.0, max(-1.0, cos3))) / 3.0
-        ts = sorted(m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3))
-    roots = []
-    for t in ts:
-        x = t - s
-        for _ in range(2):
-            fp = (3.0 * x + 2.0 * a) * x + b
-            if fp == 0.0:
-                break
-            x -= (((x + a) * x + b) * x + c) / fp
-        roots.append(x)
-    return roots
-
-
 def optimal_threshold_cubic(tau, lam, tw, w0):
     """Queue threshold for delay tau as a root of the exact cubic condition.
 
     The cubic is ``delay_size_based(lam, q, tw, w0) = tau`` multiplied
     through by its denominators.  Returns its largest real root in
     [1, 2*lam*tau + 10], or nan when no root falls in that range.
+
+    The cubic is 2*lam*tw > 0 at q = 0, so when it has one real root that
+    root is negative.  Otherwise the three roots come from the trigonometric
+    form, largest first; each takes two Newton steps, which recover the
+    digits the closed form loses to cancellation, and the first in range is
+    returned.
 
     Two roots fall in range only when lam*tw is large and tau lies in the
     dip of ``delay_size_based`` just above q = 1.  Both then predict tau
@@ -294,16 +267,33 @@ def optimal_threshold_cubic(tau, lam, tw, w0):
         raise ValueError("tau must be positive")
     if lam <= 0.0:
         raise ValueError("lam must be positive")
+    if tw <= 0.0:
+        raise ValueError("tw must be positive")
     d = tau - w0
     lt = lam * tw
     a = 2.0 * lt - 2.0 * lam * d - 3.0
     b = lt * lt - 2.0 * lam * lt * d - 4.0 * lt
+    c = 2.0 * lt
+    s = a / 3.0
+    p = b - a * s                       # depressed cubic t^3 + p t + r,
+    r = (2.0 * s * s - b) * s + c       # with q = t - s
+    if 0.25 * r * r + p * p * p / 27.0 > 0.0:
+        return math.nan
+    m = 2.0 * math.sqrt(-p / 3.0)
+    cos3 = 3.0 * r / (p * m) if p != 0.0 else 0.0
+    theta = math.acos(min(1.0, max(-1.0, cos3))) / 3.0
     hi = 2.0 * lam * tau + 10.0
-    best = math.nan
-    for q in _cubic_real_roots(a, b, 2.0 * lt):      # ascending
+    for t in sorted((m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3)),
+                    reverse=True):
+        q = t - s
+        for _ in range(2):
+            fp = (3.0 * q + 2.0 * a) * q + b
+            if fp == 0.0:
+                break
+            q -= (((q + a) * q + b) * q + c) / fp
         if 1.0 <= q <= hi:
-            best = q
-    return best
+            return q
+    return math.nan
 
 
 # --------------------------------------------------------------------------

@@ -213,12 +213,15 @@ def _parse_numpy(path) -> Trace | None:
 
 
 def _data_lines(path):
-    """Yield (lineno, line, time, size) for each data line of a trace CSV.
+    """Yield (lineno, time, size) for each data line of a trace CSV, raising
+    at the first faulty line.
 
     Blank lines and '#' comments are skipped, and so is a non-numeric line
-    before the first data line (the optional header).
+    before the first data line (the optional header).  A line with two
+    faults is named for the first of: a size not above 0, a first time
+    below 0, a decreasing time, a nan or inf field.
     """
-    seen_data = False
+    last = None                         # the time of the previous data line
     with open(path, "r", encoding="utf-8-sig", newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -234,52 +237,33 @@ def _data_lines(path):
                 t = float(fields[0])
                 s = float(fields[1])
             except ValueError:
-                if not seen_data:
+                if last is None:
                     continue
                 raise TraceFormatError(
                     f"{path}: line {lineno}: non-numeric fields in {line!r}"
                 ) from None
-            seen_data = True
-            yield lineno, line, t, s
+            if s <= 0:
+                raise TraceFormatError(f"{path}: line {lineno}: frame size must be positive")
+            if last is None:
+                if -math.inf < t < 0:       # -inf is named as non-finite below
+                    raise TraceFormatError(f"{path}: line {lineno}: negative timestamp {t}")
+            elif t < last:
+                raise TraceFormatError(f"{path}: line {lineno}: decreasing timestamp {t} after {last}")
+            # a nan time would pass every comparison with the next one
+            if not (math.isfinite(t) and math.isfinite(s)):
+                raise TraceFormatError(f"{path}: line {lineno}: non-finite field in {line!r}")
+            last = t
+            yield lineno, t, s
 
 
 def _parse_lines(path) -> Trace:
     """The line loop: one float() pair per line, raising at the first faulty line."""
     times: list[float] = []
     sizes: list[float] = []
-    for lineno, _, t, s in _data_lines(path):
-        if s <= 0:
-            raise TraceFormatError(f"{path}: line {lineno}: frame size must be positive")
-        if not times and -math.inf < t < 0:     # -inf is named as non-finite below
-            raise TraceFormatError(f"{path}: line {lineno}: negative timestamp {t}")
-        if times and t < times[-1]:
-            # an earlier nan or inf is the real fault; name it first
-            _check_finite(path, times, sizes)
-            raise TraceFormatError(
-                f"{path}: line {lineno}: decreasing timestamp {t} after {times[-1]}"
-            )
+    for _, t, s in _data_lines(path):
         times.append(t)
         sizes.append(s)
-    t_arr = np.asarray(times, dtype=np.float64)
-    s_arr = np.asarray(sizes, dtype=np.float64)
-    _check_finite(path, t_arr, s_arr)
-    return Trace(times=t_arr, sizes=s_arr)
-
-
-def _check_finite(path, times, sizes) -> None:
-    """Reject a nan or inf field, naming the line of the first one.
-
-    One vectorised pass; the file is read again only to find the line.  A
-    nan timestamp would otherwise slip past the non-decreasing check, which
-    no comparison with nan can fail.
-    """
-    finite = np.isfinite(times) & np.isfinite(sizes)
-    if finite.all():
-        return
-    bad = int(np.argmin(finite))
-    for k, (lineno, line, _, _) in enumerate(_data_lines(path)):
-        if k == bad:
-            raise TraceFormatError(f"{path}: line {lineno}: non-finite field in {line!r}")
+    return Trace(times=np.asarray(times, np.float64), sizes=np.asarray(sizes, np.float64))
 
 
 # --------------------------------------------------------------------------

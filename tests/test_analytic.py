@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eeecoal import EeeParams, TrafficStats, analytic
+from eeecoal import EeeParams, TrafficStats
 from eeecoal.analytic import (
     delay_size_based,
     delay_time_based,
@@ -24,7 +24,12 @@ from eeecoal.analytic import (
 )
 
 from conftest import LAM_5G, MU_10G_1500B, W0_5G
-from oracles import threshold_cubic_bisection, threshold_cubic_value
+from oracles import (
+    cubic_real_roots,
+    threshold_cubic_all_roots,
+    threshold_cubic_bisection,
+    threshold_cubic_value,
+)
 
 TS, TW = 2.88, 4.48
 
@@ -273,6 +278,30 @@ def _oracle_threshold(tau, lam, tw, w0):
     return scipy_opt.brentq(f, lo, hi, xtol=1e-12)
 
 
+class TestSolverScaling:
+    """Measuring every time in units c times as long changes no decision:
+    each solved timer scales by c and each threshold stays as it is.  c is
+    a power of two, so the scaled inputs are exact and so must the results be."""
+
+    @given(
+        tau=st.floats(0.5, 1000.0),
+        lam=st.floats(0.001, 0.95),
+        rho=st.floats(0.0, 0.99),
+        tw=st.floats(0.1, 20.0),
+        ts=st.floats(0.1, 20.0),
+        c=st.sampled_from([0.5, 2.0, 4.0]),
+    )
+    @example(tau=8.0, lam=0.4, rho=0.5, tw=4.48, ts=7.5, c=2.0)    # timer 8.18 us, just above ts
+    @settings(max_examples=2000, deadline=None)
+    def test_timer_scales_and_thresholds_do_not_move(self, tau, lam, rho, tw, ts, c):
+        w0 = w0_poisson_deterministic(lam, rho)
+        assert w0_poisson_deterministic(lam / c, rho).hex() == (c * w0).hex()
+        assert (optimal_timer(c * tau, lam / c, c * tw, c * w0, c * ts).hex()
+                == (c * optimal_timer(tau, lam, tw, w0, ts)).hex())
+        for solve in (optimal_threshold_approx, optimal_threshold_cubic):
+            assert solve(c * tau, lam / c, c * tw, c * w0).hex() == solve(tau, lam, tw, w0).hex()
+
+
 class TestOptimalThreshold:
     def test_cubic_reference_points(self):
         q16 = optimal_threshold_cubic(16.0, LAM_5G, TW, W0_5G)
@@ -325,8 +354,8 @@ class TestOptimalThreshold:
             # oracle's "nearest" pick is decided by rounding, and its scan
             # misses the pair when it falls in one segment.
             d, lt = tau - w0, lam * tw
-            roots = analytic._cubic_real_roots(2.0 * lt - 2.0 * lam * d - 3.0,
-                                               lt * lt - 2.0 * lam * lt * d - 4.0 * lt, 2.0 * lt)
+            roots = cubic_real_roots(2.0 * lt - 2.0 * lam * d - 3.0,
+                                     lt * lt - 2.0 * lam * lt * d - 4.0 * lt, 2.0 * lt)
             assert ours == max(q for q in roots if 1.0 <= q <= 2.0 * lam * tau + 10.0)
             assert delay_size_based(lam, ours, tw, w0) == pytest.approx(tau, rel=1e-6)
             if not math.isnan(oracle):
@@ -342,10 +371,32 @@ class TestOptimalThreshold:
     def test_one_real_root_without_math_cbrt(self, monkeypatch):
         # math.cbrt is new in Python 3.11 and the package supports 3.10
         monkeypatch.delattr(math, "cbrt", raising=False)
-        assert analytic._cubic_real_roots(0.0, 0.0, -8.0) == pytest.approx([2.0], abs=1e-15)
-        assert analytic._cubic_real_roots(0.0, 0.0, 27.0) == pytest.approx([-3.0], abs=1e-15)
+        assert cubic_real_roots(0.0, 0.0, -8.0) == pytest.approx([2.0], abs=1e-15)
+        assert cubic_real_roots(0.0, 0.0, 27.0) == pytest.approx([-3.0], abs=1e-15)
         # (x - 1)(x^2 + 1)
-        assert analytic._cubic_real_roots(-1.0, 1.0, -1.0) == pytest.approx([1.0], abs=1e-15)
+        assert cubic_real_roots(-1.0, 1.0, -1.0) == pytest.approx([1.0], abs=1e-15)
+
+    @given(
+        tau=st.floats(0.5, 1000.0),
+        lam=st.floats(0.001, 0.95),
+        rho=st.floats(0.0, 0.99),
+        tw=st.floats(0.1, 20.0),
+    )
+    @example(tau=2.0, lam=0.5, rho=0.5, tw=4.48)            # one real root
+    @example(tau=16.0, lam=LAM_5G, rho=0.5, tw=TW)          # three real roots, one in range
+    @example(tau=6.75, lam=0.34375, rho=0.703125, tw=6.75)  # two in range
+    @settings(max_examples=1000, deadline=None)
+    def test_equals_the_all_roots_solver(self, tau, lam, rho, tw):
+        # the cubic is 2*lam*tw > 0 at q = 0, so a lone real root is negative
+        # and the solver returns nan without finding it
+        w0 = w0_poisson_deterministic(lam, rho)
+        assert (optimal_threshold_cubic(tau, lam, tw, w0).hex()
+                == threshold_cubic_all_roots(tau, lam, tw, w0).hex())
+
+    @pytest.mark.parametrize("tw", [0.0, -0.0, -4.48])
+    def test_cubic_rejects_nonpositive_wake_time(self, tw):
+        with pytest.raises(ValueError, match="tw must be positive"):
+            optimal_threshold_cubic(16.0, LAM_5G, tw, W0_5G)
 
     def test_approx_reference_points(self):
         q16 = optimal_threshold_approx(16.0, LAM_5G, TW, W0_5G)

@@ -21,6 +21,7 @@ from eeecoal import (
     run,
 )
 from eeecoal import analytic, simcore
+from eeecoal import policy as policy_module
 from eeecoal.policy import MODE_DUAL, MODE_SUSPEND, MODE_THRESHOLD, MODE_TIMER, _plan_scalar
 from eeecoal.simcore import SimReport, StateResidency
 from eeecoal.traffic import sample_frames
@@ -740,3 +741,48 @@ class TestKernelFuzz:
             new = simcore._sim_kernel(*_own_svc(args))
             assert_same_kernel_output(new, [oracle(*_own_svc(args)) for oracle in ORACLE_KERNELS],
                                       policy)
+
+
+def _bimodal_poisson_trace(lam, n=100_000, seed=3):
+    """A trace of ``n`` Poisson arrivals at ``lam`` frames/us with 100/1500-byte frames."""
+    generated = TrafficSpec(arrival=Poisson(lam), sizes=BimodalSize(0.54, 100, 1500))
+    return TrafficSpec(trace=Trace(*sample_frames(generated, n, seed)))
+
+
+class TestPolicyIdentities:
+    """Two configs that plan the same wake rule give the same run, bit for bit."""
+
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 0.7])
+    def test_same_runs(self, params, lam):
+        spec = _bimodal_poisson_trace(lam)
+        n = spec.trace.n_frames
+        pairs = [(PolicyConfig.none(), PolicyConfig.static_size(1)),
+                 (PolicyConfig.static_timer(24.0), PolicyConfig.static_dual(24.0, n + 1))]
+        for a, b in pairs:
+            ra, rb = run(spec, a, params), run(spec, b, params)
+            assert ra.n_cycles == rb.n_cycles > 1
+            assert ra.delays.tobytes() == rb.delays.tobytes()
+            assert ra.cycles.wake.tobytes() == rb.cycles.wake.tobytes()
+            assert ra.mean_toff_us.hex() == rb.mean_toff_us.hex()
+            assert ra.measured_phi.hex() == rb.measured_phi.hex()
+
+
+class TestCubicPlans:
+    """Every threshold a run plans is the one the solver that finds all roots gives."""
+
+    @pytest.mark.parametrize("rate_gbps", [1, 5, 9])
+    def test_every_plan_equals_the_all_roots_solver(self, params, monkeypatch, rate_gbps):
+        plans = []
+        solve = policy_module.optimal_threshold_cubic
+
+        def recording_solve(*args):
+            q = solve(*args)
+            plans.append((args, q))
+            return q
+
+        monkeypatch.setattr(policy_module, "optimal_threshold_cubic", recording_solve)
+        run(poisson_1500(rate_gbps), PolicyConfig.dynamic_size(16.0, solver="cubic"), params,
+            n_frames=100_000, seed=rate_gbps)
+        assert len(plans) > 500
+        for args, q in plans:
+            assert q.hex() == oracles.threshold_cubic_all_roots(*args).hex()

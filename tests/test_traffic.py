@@ -1,6 +1,7 @@
 import codecs
 import importlib.util
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -233,6 +234,18 @@ class TestTraceLoading:
         with pytest.raises(TraceFormatError, match=f"line {line}: non-finite"):
             load_trace(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("0,nan\n1,-5\n", "non-finite field in '0,nan'"),
+        ("nan,1500\n5,1500\n6,0\n", "non-finite field in 'nan,1500'"),
+        ("nan,1\n0.0000,1 # note", "non-finite field in 'nan,1'"),
+    ], ids=["then-negative-size", "then-zero-size", "then-inline-comment"])
+    def test_non_finite_line_named_before_a_later_fault(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(TraceFormatError) as err:
+            load_trace(path)
+        assert str(err.value) == f"{path}: line 1: {message}"
+
     def test_trace_before_zero_rejected(self, tmp_path):
         # numpy leaves it to the line loop, which names its line
         path = tmp_path / "t.csv"
@@ -325,8 +338,10 @@ def _outcome(load, path):
 
 
 def _line_loop_outcome(path):
-    """The line-loop oracle's outcome, but with a first frame before 0 us,
-    which the oracle accepts, rejected at its line as load_trace does."""
+    """The line-loop oracle's outcome, but with two faults named at their own
+    line as load_trace does: a first frame before 0 us, which the oracle
+    accepts, and a nan or inf field on a line before the one the oracle names
+    (an outcome without a line number counts as later)."""
     try:
         lineno, _, t, s = next(trace_data_lines(path))
     except (StopIteration, TraceFormatError, UnicodeDecodeError):
@@ -334,7 +349,19 @@ def _line_loop_outcome(path):
     else:
         if not s <= 0 and -math.inf < t < 0:
             return TraceFormatError, f"{path}: line {lineno}: negative timestamp {t}"
-    return _outcome(load_trace_lines, path)
+    outcome = _outcome(load_trace_lines, path)
+    named = math.inf
+    if outcome[0] is TraceFormatError:
+        named = int(re.match(re.escape(f"{path}: line ") + r"(\d+):", outcome[1])[1])
+    try:
+        for lineno, line, t, s in trace_data_lines(path):
+            if lineno >= named:
+                break
+            if not (math.isfinite(t) and math.isfinite(s)):
+                return TraceFormatError, f"{path}: line {lineno}: non-finite field in {line!r}"
+    except (TraceFormatError, UnicodeDecodeError):
+        pass
+    return outcome
 
 
 class TestTraceParseFuzz:
