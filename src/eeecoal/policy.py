@@ -205,12 +205,11 @@ def _round_threshold(q):
     return math.floor(q + 0.5)
 
 
-def _plan_scalar(kind, v_static, qw_static, tau, use_cubic, lam_hat, mu_hat,
-                 est_valid, ts, tw):
+def _plan_scalar(kind, v_static, qw_static, tau, use_cubic, lam_hat, mu_hat, ts, tw):
     """Plan one cycle; returns (mode, timer_us, threshold).
 
     Adaptive kinds solve for tau at the estimated rates, and suspend without
-    a valid estimate or when the target is out of reach.
+    an estimate (nan rates) or when the target is out of reach.
     """
     if kind == 0:                       # none: wake on first arrival
         return 2, 0.0, 1.0
@@ -220,7 +219,7 @@ def _plan_scalar(kind, v_static, qw_static, tau, use_cubic, lam_hat, mu_hat,
         return 2, 0.0, qw_static
     if kind == 3:
         return 3, v_static, qw_static
-    if not est_valid or lam_hat <= 0.0 or mu_hat <= 0.0:
+    if not (lam_hat > 0.0 and mu_hat > 0.0):
         return 0, 0.0, 0.0
     w0 = w0_poisson_deterministic(lam_hat, min(lam_hat / mu_hat, RHO_CLAMP))
     if kind == 4:

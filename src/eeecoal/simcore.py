@@ -31,14 +31,17 @@ arrival that opens the next cycle, so each frame is read once.  Each
 frame's service start is stored over the service time just read from the
 same buffer, and one subtraction after the pass makes the starts delays: a
 run holds two frame-sized arrays, not three.
-The kernel has two loops.  ``none`` and the static policies plan the same
-(mode, V, Q_w) every cycle and read no traffic estimate, so the static loop
-plans once per run, fixes the rule's terms and keeps no estimate; the
-adaptive loop plans every cycle from the EWMA estimate it updates.  The
-kernel records two things exactly: each frame's queuing delay (service
-start minus arrival) and one row per cycle, the cycle table (``CycleTable``:
-start, first frame, planned mode, V and Q_w, wake instant, and the estimate
-the plan used, which is nan in the rows of a static run).  Every aggregate
+The kernel takes the policy and reads its fields once.  It has two loops.
+``none`` and the static policies plan the same (mode, V, Q_w) every cycle
+and read no traffic estimate, so the static loop plans once per run, fixes
+the rule's terms and keeps no estimate; the adaptive loop plans every cycle
+from the EWMA estimate it updates, whose rates are nan until it is seeded,
+and the planner suspends on nan rates.  The kernel records two things
+exactly: each frame's queuing delay (service start minus arrival) and one
+row per cycle, the cycle table (``CycleTable``: start, first frame, planned
+mode, V and Q_w, wake instant, and the estimate the plan used, which is nan
+in the rows of a static run and before the seed).  Its columns are sized for
+one row per frame and cut to the rows that ran after the pass.  Every aggregate
 of a ``SimReport`` is a reduction over the table's rows after a warm-up
 prefix, and ``cycle_view`` derives the per-cycle sleep, delay and frame
 counts from them.
@@ -85,7 +88,7 @@ class CycleTable(NamedTuple):
     mu_hat: np.ndarray    # as in every row of a static run)
 
 
-def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
+def _sim_kernel(arr, svc, policy, ts, tw):
     """Serve the frames, at least one; returns (per-frame delays, cycle table, end instant).
 
     The delays are written over ``svc``: the shared ``zip(arr, svc)`` of the
@@ -93,6 +96,7 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
     """
     n = arr.shape[0]
     delays = svc
+    kind, tau, use_cubic = policy.kind, float(policy.tau), policy.solver == "cubic"
     # a cycle serves at least one frame, so n rows are enough
     index = np.int32 if n < 2**31 else np.int64
     dtypes = (np.float64, index, np.int8, np.float64, np.float64, np.float64, np.float64, np.float64)
@@ -106,8 +110,8 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
     if kind <= 3:
         # none and the static kinds plan the same (mode, V, Q_w) every cycle: only
         # start, first and wake vary, the rest are read-only views of the plan and nan
-        plan = _plan_scalar(kind, v_static, qw_static, tau, use_cubic,
-                            0.0, 0.0, False, ts, tw)
+        plan = _plan_scalar(kind, float(policy.v), float(policy.qw), tau, use_cubic,
+                            math.nan, math.nan, ts, tw)
         fixed = (None, None, *plan, None, math.nan, math.nan)
         table = CycleTable(*(np.empty(n, dt) if x is None else np.broadcast_to(dt(x), n)
                              for x, dt in zip(fixed, dtypes)))
@@ -116,7 +120,14 @@ def _sim_kernel(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
         table = CycleTable(*(np.empty(n, dtype=dt) for dt in dtypes))
         c, end = _adaptive_loop(*views, table, kind, tau, use_cubic, ts, tw)
     np.subtract(delays, arr, out=delays)
-    return delays, CycleTable(*(col[:c] for col in table)), end
+    # keep only the c rows that ran: each written column shrinks in place, and
+    # the plan's views are sliced.  resize raises while any other reference or
+    # view of the column is alive (a loop variable bound to it would be one),
+    # so no view can be left dangling
+    for k in range(len(table)):
+        if table[k].flags.writeable:
+            table[k].resize(c)
+    return delays, CycleTable(*(col if col.flags.writeable else col[:c] for col in table)), end
 
 
 def _static_loop(arr, svc, dly, table, mode, pv, pq, ts, tw):
@@ -180,9 +191,8 @@ def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
     An adaptive plan suspends, sets a timer or sets a threshold, never both.
     """
     c_start, c_first, c_mode, c_v, c_qw, c_wake, c_lam, c_mu = map(memoryview, table)
-    est_frames = 0.0
-    est_duration = 0.0
-    est_service = 0.0
+    # an unset estimate has nan totals, so its rates are nan
+    est_frames = est_duration = est_service = math.nan
     est_valid = False
 
     n = len(arr)
@@ -205,13 +215,9 @@ def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
         if not est_valid and j > gap_at:
             est_frames, est_duration, est_service = 1.0, arr[gap_at] - arr[gap_at - 1], svc_0
             est_valid = True
-        if est_valid:
-            plan_lam = est_frames / est_duration
-            plan_mu = est_frames / est_service
-        else:
-            plan_lam = plan_mu = math.nan
-        mode, pv, pq = _plan_scalar(kind, 0.0, 0.0, tau, use_cubic,
-                                    plan_lam, plan_mu, est_valid, ts, tw)
+        plan_lam = est_frames / est_duration
+        plan_mu = est_frames / est_service
+        mode, pv, pq = _plan_scalar(kind, 0.0, 0.0, tau, use_cubic, plan_lam, plan_mu, ts, tw)
 
         wake = t_empty
         if mode == 0:
@@ -380,17 +386,7 @@ def run(traffic: TrafficSpec, policy: PolicyConfig, params: EeeParams = EeeParam
     svc *= 8.0
     svc /= params.rate_bits_per_us
     serving = float(svc.sum())
-    delays, cycles, end = _sim_kernel(
-        times,
-        svc,
-        policy.kind,
-        float(policy.v),
-        float(policy.qw),
-        float(policy.tau),
-        policy.solver == "cubic",
-        params.ts,
-        params.tw,
-    )
+    delays, cycles, end = _sim_kernel(times, svc, policy, params.ts, params.tw)
 
     # aggregates are reductions over the cycles after the warm-up prefix, or
     # over all of them when the run never got past it

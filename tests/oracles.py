@@ -13,8 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from eeecoal.analytic import EeeParams, delay_size_based
-from eeecoal.policy import DEFAULT_EWMA_WEIGHT, PolicyConfig, _estimate_update, _plan_scalar
+from eeecoal.analytic import EeeParams, delay_size_based, optimal_timer, w0_poisson_deterministic
+from eeecoal.policy import (
+    DEFAULT_EWMA_WEIGHT,
+    RHO_CLAMP,
+    PolicyConfig,
+    _estimate_update,
+    _round_threshold,
+    _solve_threshold,
+)
 from eeecoal.simcore import CycleTable, StateResidency
 from eeecoal.traffic import (
     Trace,
@@ -305,6 +312,35 @@ _C_NSLEEP = 12
 _C_NCOLS = 13
 
 
+def plan_scalar_flagged(kind, v_static, qw_static, tau, use_cubic, lam_hat, mu_hat,
+                        est_valid, ts, tw):
+    """Plan one cycle; returns (mode, timer_us, threshold).
+
+    Adaptive kinds solve for tau at the estimated rates, and suspend without
+    a valid estimate or when the target is out of reach.
+    """
+    if kind == 0:                       # none: wake on first arrival
+        return 2, 0.0, 1.0
+    if kind == 1:
+        return 1, v_static, 0.0
+    if kind == 2:
+        return 2, 0.0, qw_static
+    if kind == 3:
+        return 3, v_static, qw_static
+    if not est_valid or lam_hat <= 0.0 or mu_hat <= 0.0:
+        return 0, 0.0, 0.0
+    w0 = w0_poisson_deterministic(lam_hat, min(lam_hat / mu_hat, RHO_CLAMP))
+    if kind == 4:
+        v = optimal_timer(tau, lam_hat, tw, w0, ts)
+        if math.isnan(v):
+            return 0, 0.0, 0.0
+        return 1, v, 0.0
+    q = _solve_threshold(tau, lam_hat, tw, w0, use_cubic)
+    if math.isnan(q):
+        return 0, 0.0, 0.0
+    return 2, 0.0, _round_threshold(q)
+
+
 def sim_kernel_summary(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma_w,
                        ts, tw, warmup, record):
     """The per-frame kernel that filled a summary vector and a record matrix.
@@ -373,8 +409,8 @@ def sim_kernel_summary(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma
         else:
             plan_lam = 0.0
             plan_mu = 0.0
-        mode, pv, pq = _plan_scalar(kind, v_static, qw_static, tau, use_cubic,
-                                    plan_lam, plan_mu, est_valid, ts, tw)
+        mode, pv, pq = plan_scalar_flagged(kind, v_static, qw_static, tau, use_cubic,
+                                           plan_lam, plan_mu, est_valid, ts, tw)
         if c == warmup:
             window_start = t_empty
             first_w_frame = i
@@ -642,8 +678,8 @@ def sim_kernel_table(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw
         else:
             plan_lam = 0.0
             plan_mu = 0.0
-        mode, pv, pq = _plan_scalar(kind, v_static, qw_static, tau, use_cubic,
-                                    plan_lam, plan_mu, est_valid, ts, tw)
+        mode, pv, pq = plan_scalar_flagged(kind, v_static, qw_static, tau, use_cubic,
+                                           plan_lam, plan_mu, est_valid, ts, tw)
 
         t_first = arr[i]
         wake_start = t_empty
@@ -725,8 +761,8 @@ def sim_kernel_two_loops(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts
     views = memoryview(arr), memoryview(svc), memoryview(delays)
     if kind <= 3:
         # none and the static kinds plan the same (mode, V, Q_w) every cycle
-        plan = _plan_scalar(kind, v_static, qw_static, tau, use_cubic,
-                            0.0, 0.0, False, ts, tw)
+        plan = plan_scalar_flagged(kind, v_static, qw_static, tau, use_cubic,
+                                   0.0, 0.0, False, ts, tw)
         c, end = _two_loops_static(*views, table, *plan, ts, tw)
     else:
         c, end = _two_loops_adaptive(*views, table, kind, tau, use_cubic, ts, tw)
@@ -831,8 +867,8 @@ def _two_loops_adaptive(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
         else:
             plan_lam = 0.0
             plan_mu = 0.0
-        mode, pv, pq = _plan_scalar(kind, 0.0, 0.0, tau, use_cubic,
-                                    plan_lam, plan_mu, est_valid, ts, tw)
+        mode, pv, pq = plan_scalar_flagged(kind, 0.0, 0.0, tau, use_cubic,
+                                           plan_lam, plan_mu, est_valid, ts, tw)
 
         t_first = arr[i]
         wake = t_empty

@@ -153,7 +153,7 @@ policy = dynamic_size
         stats = theoretical_stats(
             TrafficSpec(arrival=Poisson(0.5e3 / 12000.0), sizes=FixedSize(1500)), params.line_rate)
         _, _, qw = _plan_scalar(KIND_DYNAMIC_SIZE, 0.0, 0.0, tau, False, stats.lam, stats.mu,
-                                True, params.ts, params.tw)
+                                params.ts, params.tw)
         assert qw == 3
         assert float(row["delay_analytic_us"]) == pytest.approx(
             size_based_outcome(params, stats, qw).mean_delay, rel=1e-9)

@@ -11,10 +11,12 @@ other test still passes.
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from eeecoal import simcore
 from eeecoal.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -89,3 +91,25 @@ def test_every_layer_is_called_through_its_attribute(tmp_path, monkeypatch):
     for cfg in (generated, replayed):
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert sorted({f"{m}.{a}" for _, m, a, _ in TARGETS} - calls) == []
+
+
+def test_static_sweep_plans_every_point(tmp_path, monkeypatch):
+    # perfbench's self-test requires policy.plan.calls > 0 on sweep-static,
+    # whose points are all static: each static run must plan once
+    kinds = []
+    plan = simcore._plan_scalar
+
+    def counting(*args):
+        kinds.append(args[0])
+        return plan(*args)
+
+    monkeypatch.setattr(simcore, "_plan_scalar", counting)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "arrival = poisson\nsizes = fixed(1500)\nrate_gbps = 1\nrate_gbps = 5\n"
+        "policy = none\npolicy = static_timer(24)\npolicy = static_size(12)\n"
+        "policy = static_dual(24, 12)\nhorizon_frames = 2000\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    per_kind = Counter(kinds)
+    assert sorted(per_kind) == [0, 1, 2, 3]
+    assert min(per_kind.values()) >= 2       # once per rate at least

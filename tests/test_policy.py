@@ -1,13 +1,18 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eeecoal import PolicyConfig
 from eeecoal.policy import DEFAULT_EWMA_WEIGHT, MODE_NAMES, _estimate_update, _plan_scalar
 
-# planner inputs (lambda_hat, mu_hat, valid) as the simulator kernel passes them
-EST_5G = (0.4166667, 0.8333333, True)
-INVALID = (0.0, 0.0, False)
+import oracles
+
+# planner inputs (lambda_hat, mu_hat) as the simulator kernel passes them; an
+# unset estimate has nan rates
+EST_5G = (0.4166667, 0.8333333)
+INVALID = (math.nan, math.nan)
 
 # estimator state (frames_s, duration_s, service_s, valid)
 STATE_5G = (1.0, 1.0 / 0.4166667, 1.0 / 0.8333333, True)
@@ -60,7 +65,7 @@ class TestPlanCycle:
 
     def test_dynamic_suspends_under_overload(self, params):
         # estimated utilization 0.97: the baseline delay alone exceeds 16 us
-        est = (0.8083, 0.8083 / 0.97, True)
+        est = (0.8083, 0.8083 / 0.97)
         assert plan(PolicyConfig.dynamic_timer(16.0), est, params)[0] == "suspend"
         assert plan(PolicyConfig.dynamic_size(16.0), est, params)[0] == "suspend"
 
@@ -70,7 +75,7 @@ class TestPlanCycle:
 
     def test_threshold_is_integer_at_least_one(self, params):
         # a tight but feasible target rounds down to the minimum threshold
-        mode, _, qw = plan(PolicyConfig.dynamic_size(22.0), (0.05, 0.8333333, True), params)
+        mode, _, qw = plan(PolicyConfig.dynamic_size(22.0), (0.05, 0.8333333), params)
         assert mode == "threshold"
         assert qw == int(qw)
         assert qw >= 1
@@ -107,6 +112,35 @@ class TestPlanCycle:
                 PolicyConfig.static_dual(bad, 12)
             with pytest.raises(ValueError):
                 PolicyConfig.dynamic_size(bad)
+
+
+
+def _plan_bits(plan):
+    """A plan's (mode, V, Q_w), each value's type with its exact bits."""
+    return [(type(x).__name__, float(x).hex()) for x in plan]
+
+
+class TestPlanEqualsFlaggedPlanner:
+    """The planner equals the oracle that took a validity flag: nan rates plan
+    as that oracle's invalid estimate, and every valid estimate alike."""
+
+    @given(kind=st.integers(0, 5), use_cubic=st.booleans(), v=st.floats(3.0, 500.0),
+           qw=st.integers(1, 100), tau=st.floats(0.5, 500.0),
+           lam=st.floats(0.0, 2.0), mu=st.floats(0.01, 2.0), valid=st.booleans(),
+           ts=st.floats(0.5, 10.0), tw=st.floats(0.5, 20.0))
+    @example(kind=4, use_cubic=False, v=24.0, qw=12, tau=16.0, lam=0.4166667, mu=0.8333333,
+             valid=False, ts=2.88, tw=4.48)
+    @example(kind=5, use_cubic=True, v=24.0, qw=12, tau=16.0, lam=0.0, mu=0.8333333,
+             valid=True, ts=2.88, tw=4.48)
+    @settings(max_examples=1000, deadline=None)
+    def test_same_plan_bit_for_bit(self, kind, use_cubic, v, qw, tau, lam, mu, valid, ts, tw):
+        # all six kinds, both solvers; without an estimate the flagged planner
+        # is handed rates it must ignore
+        rates = (lam, mu) if valid else (math.nan, math.nan)
+        new = _plan_scalar(kind, v, float(qw), tau, use_cubic, *rates, ts, tw)
+        old = oracles.plan_scalar_flagged(kind, v, float(qw), tau, use_cubic, lam, mu, valid,
+                                          ts, tw)
+        assert _plan_bits(new) == _plan_bits(old)
 
 
 class TestUpdateEstimate:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -22,9 +23,16 @@ from eeecoal import (
 )
 from eeecoal import analytic, simcore
 from eeecoal import policy as policy_module
-from eeecoal.policy import MODE_DUAL, MODE_SUSPEND, MODE_THRESHOLD, MODE_TIMER, _plan_scalar
+from eeecoal.policy import (
+    MODE_DUAL,
+    MODE_SUSPEND,
+    MODE_THRESHOLD,
+    MODE_TIMER,
+    _plan_scalar,
+    predict,
+)
 from eeecoal.simcore import SimReport, StateResidency
-from eeecoal.traffic import sample_frames
+from eeecoal.traffic import sample_frames, theoretical_stats
 
 from conftest import LAM_5G, MU_10G_1500B, W0_5G
 import oracles
@@ -140,6 +148,22 @@ class TestAgainstClosedForms:
         assert rep.mean_toff_us == pytest.approx(
             analytic.toff_size_based(LAM_5G, 12, params.ts), rel=0.02)
 
+    @pytest.mark.parametrize("rate_gbps", [5, 9])
+    def test_static_timer_delay_with_mixed_sizes(self, params, rate_gbps):
+        # with Poisson arrivals the timer model is exact M/G/1 with vacations
+        # for any sizes, so its baseline delay must carry the service-time
+        # variance (about 2.4 us of it at 9 Gb/s); within 4 standard errors,
+        # from 32 batch means of the post-warm-up delays
+        mean_size = 0.54 * 100 + 0.46 * 1500
+        spec = TrafficSpec(arrival=Poisson(rate_gbps * 1000.0 / (8.0 * mean_size)),
+                           sizes=BimodalSize(0.54, 100, 1500))
+        policy = PolicyConfig.static_timer(24.0)
+        rep = run(spec, policy, params, n_frames=1_000_000, seed=1000)
+        model = predict(policy, theoretical_stats(spec, params.line_rate), params)[0].mean_delay
+        batch_means = np.array([b.mean() for b in np.array_split(rep.delays, 32)])
+        se = batch_means.std(ddof=1) / math.sqrt(len(batch_means))
+        assert abs(rep.mean_delay_us - model) <= 4.0 * se
+
 
 class TestCycleSemantics:
     def test_timer_cycles_sleep_empty_period_plus_surplus(self, params):
@@ -197,7 +221,7 @@ class TestCycleSemantics:
             assert (col.strides == (0,)) == (name in constant), name
         if not policy.is_dynamic:
             plan = _plan_scalar(policy.kind, float(policy.v), float(policy.qw), policy.tau,
-                                False, 0.0, 0.0, False, params.ts, params.tw)
+                                False, math.nan, math.nan, params.ts, params.tw)
             assert [cyc.mode[0], cyc.v[0], cyc.qw[0]] == list(plan)
             assert np.isnan(cyc.lam_hat).all() and np.isnan(cyc.mu_hat).all()
             with pytest.raises(ValueError, match="read-only"):
@@ -211,7 +235,7 @@ class TestCycleSemantics:
         rows = np.flatnonzero(~np.isnan(cyc.lam_hat))
         assert len(rows) > 100
         modes, vs, _ = map(np.array, zip(*(
-            _plan_scalar(cfg.kind, 0.0, 0.0, cfg.tau, False, lam, mu, True, params.ts, params.tw)
+            _plan_scalar(cfg.kind, 0.0, 0.0, cfg.tau, False, lam, mu, params.ts, params.tw)
             for lam, mu in zip(cyc.lam_hat[rows].tolist(), cyc.mu_hat[rows].tolist()))))
         assert np.array_equal(modes, cyc.mode[rows])
         timer = modes == MODE_TIMER
@@ -223,10 +247,10 @@ class TestCycleSemantics:
         seen = set()
         plan = simcore._plan_scalar
 
-        def spy(kind, v, qw, tau, use_cubic, lam_hat, mu_hat, valid, ts, tw):
-            if valid:
+        def spy(kind, v, qw, tau, use_cubic, lam_hat, mu_hat, ts, tw):
+            if not math.isnan(lam_hat):
                 seen.update((type(lam_hat), type(mu_hat)))
-            return plan(kind, v, qw, tau, use_cubic, lam_hat, mu_hat, valid, ts, tw)
+            return plan(kind, v, qw, tau, use_cubic, lam_hat, mu_hat, ts, tw)
 
         monkeypatch.setattr(simcore, "_plan_scalar", spy)
         run(poisson_1500(5), PolicyConfig.dynamic_size(16.0, solver="cubic"), params,
@@ -311,6 +335,12 @@ class TestReportShape:
         assert not run(poisson_1500(5), PolicyConfig.none(), params,
                        n_frames=1000, seed=43).overload
 
+    def test_overload_at_exactly_the_line_rate(self, params, tmp_path):
+        # two 1.2 us services over a 2.4 us span offer exactly the line rate
+        trace = tmp_path / "full.csv"
+        trace.write_text("0,1500\n2.4,1500\n")
+        assert run(TrafficSpec(trace=load_trace(trace)), PolicyConfig.none(), params).overload
+
     def test_horizon_validation(self, params):
         with pytest.raises(ValueError):
             run(poisson_1500(5), PolicyConfig.none(), params, seed=1)
@@ -367,6 +397,27 @@ class TestReportShape:
         assert rep.n_cycles > n // 2
         assert retained / n <= 40.0
         assert peak / n <= 44.0
+
+    @pytest.mark.parametrize("policy", [PolicyConfig.static_size(12), PolicyConfig.dynamic_size(16.0)],
+                             ids=lambda p: p.label())
+    def test_report_keeps_only_the_cycles_it_ran(self, params, policy):
+        # at 9 Gb/s a cycle serves about 150 frames: the report keeps the
+        # arrivals and the delays, 16 bytes a frame, and only the rows of the
+        # cycles that ran, each written column an array of its own
+        n = 200_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rep = run(poisson_1500(9), policy, params, n_frames=n, seed=1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rep.n_cycles < n // 100
+        assert retained / n <= 20.0
+        for name, col in rep.cycles._asdict().items():
+            assert len(col) == rep.n_cycles, name
+            if col.flags.writeable:
+                assert col.flags.owndata and col.base is None, name
 
 
 class TestDelayCdf:
@@ -528,6 +579,18 @@ def _own_svc(args):
     return (arr, svc.copy(), *rest)
 
 
+def _kernel_and_oracle_outputs(arr, svc, policy, ts, tw):
+    """``_sim_kernel``'s output and each oracle kernel's, each on its own copy of ``svc``.
+
+    The oracles take the policy's fields as loose arguments: kind, V, Q_w,
+    tau and whether the cubic solver plans.
+    """
+    fields = (policy.kind, float(policy.v), float(policy.qw), float(policy.tau),
+              policy.solver == "cubic")
+    new = simcore._sim_kernel(arr, svc.copy(), policy, ts, tw)
+    return new, [oracle(arr, svc.copy(), *fields, ts, tw) for oracle in ORACLE_KERNELS]
+
+
 def _kernel_and_oracles(monkeypatch, spec, policy, params, **horizon):
     """The output of ``_sim_kernel`` on the inputs ``run`` made, and each oracle kernel's."""
     calls = []
@@ -539,8 +602,9 @@ def _kernel_and_oracles(monkeypatch, spec, policy, params, **horizon):
 
     monkeypatch.setattr(simcore, "_sim_kernel", spy)
     run(spec, policy, params, seed=5, **horizon)
+    monkeypatch.setattr(simcore, "_sim_kernel", kernel)
     (args,) = calls
-    return kernel(*_own_svc(args)), [oracle(*_own_svc(args)) for oracle in ORACLE_KERNELS]
+    return _kernel_and_oracle_outputs(*args)
 
 
 def assert_same_kernel_output(new, olds, policy):
@@ -645,9 +709,7 @@ class TestAgainstCycleTableKernel:
         times, sizes = sample_frames(poisson_1500(5), 2000, 3)
         svc = sizes * 8.0 / params.rate_bits_per_us
         arr = times.copy()
-        delays, _, _ = simcore._sim_kernel(
-            arr, svc, policy.kind, float(policy.v), float(policy.qw), float(policy.tau),
-            policy.solver == "cubic", params.ts, params.tw)
+        delays, _, _ = simcore._sim_kernel(arr, svc, policy, params.ts, params.tw)
         assert np.shares_memory(delays, svc)
         assert arr.tobytes() == times.tobytes()
 
@@ -736,11 +798,8 @@ class TestKernelFuzz:
         arr = np.cumsum(np.array(gaps, dtype=np.float64))
         svc = np.array(sizes, dtype=np.float64) * 8.0 / params.rate_bits_per_us
         for policy in POLICIES + [PolicyConfig.dynamic_timer(0.5)]:
-            args = (arr, svc, policy.kind, float(policy.v), float(policy.qw), float(policy.tau),
-                    policy.solver == "cubic", params.ts, params.tw)
-            new = simcore._sim_kernel(*_own_svc(args))
-            assert_same_kernel_output(new, [oracle(*_own_svc(args)) for oracle in ORACLE_KERNELS],
-                                      policy)
+            new, olds = _kernel_and_oracle_outputs(arr, svc, policy, params.ts, params.tw)
+            assert_same_kernel_output(new, olds, policy)
 
 
 def _bimodal_poisson_trace(lam, n=100_000, seed=3):
@@ -765,6 +824,54 @@ class TestPolicyIdentities:
             assert ra.cycles.wake.tobytes() == rb.cycles.wake.tobytes()
             assert ra.mean_toff_us.hex() == rb.mean_toff_us.hex()
             assert ra.measured_phi.hex() == rb.measured_phi.hex()
+
+    @pytest.mark.parametrize("q", [1, 4, 12, 52])
+    def test_dual_with_a_timer_past_the_stream_is_the_threshold(self, params, q):
+        # a timer longer than the whole stream never fires before the threshold
+        # fills; only a last cycle the stream ends before filling differs, since
+        # the threshold then wakes at the final arrival and the dual on its timer
+        spec = _bimodal_poisson_trace(0.3)
+        times = spec.trace.times
+        span = float(times[-1] - times[0])
+        size = run(spec, PolicyConfig.static_size(q), params, warmup_cycles=0)
+        dual = run(spec, PolicyConfig.static_dual(10.0 * span, q), params, warmup_cycles=0)
+        assert size.n_cycles == dual.n_cycles > 1
+        for name in ("start", "first"):
+            assert getattr(size.cycles, name).tobytes() == getattr(dual.cycles, name).tobytes()
+        last = int(size.cycles.first[-1])
+        assert size.cycles.wake[:-1].tobytes() == dual.cycles.wake[:-1].tobytes()
+        assert size.delays[:last].tobytes() == dual.delays[:last].tobytes()
+        if q == 1:
+            assert size.cycles.wake.tobytes() == dual.cycles.wake.tobytes()
+            assert size.delays.tobytes() == dual.delays.tobytes()
+
+
+class TestScaleCovariance:
+    """Multiplying every time by a power of two c scales every delay and instant
+    of a run by c, bit for bit: arrivals, ts, tw, V and tau times c, and the
+    line rate over c, so each service time is c times as long."""
+
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 0.7])
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: f"{p.label()}-{p.solver}")
+    def test_times_scale_by_c(self, params, policy, lam):
+        generated = TrafficSpec(arrival=Poisson(lam), sizes=BimodalSize(0.54, 100, 1500))
+        times, sizes = sample_frames(generated, 20_000, 3)
+        base = run(TrafficSpec(trace=Trace(times, sizes)), policy, params, warmup_cycles=0)
+        assert base.n_cycles > 1
+        for c in (0.5, 2.0, 4.0):
+            scaled = run(TrafficSpec(trace=Trace(times * c, sizes)),
+                         dataclasses.replace(policy, v=policy.v * c, tau=policy.tau * c),
+                         dataclasses.replace(params, ts=params.ts * c, tw=params.tw * c,
+                                             line_rate=params.line_rate / c),
+                         warmup_cycles=0)
+            assert scaled.n_cycles == base.n_cycles, c
+            assert scaled.delays.tobytes() == (base.delays * c).tobytes(), c
+            for name in ("start", "wake", "v"):
+                assert getattr(scaled.cycles, name).tobytes() == \
+                    (getattr(base.cycles, name) * c).tobytes(), (name, c)
+            for name in ("mode", "qw", "first"):
+                assert getattr(scaled.cycles, name).tobytes() == \
+                    getattr(base.cycles, name).tobytes(), (name, c)
 
 
 class TestCubicPlans:
