@@ -233,25 +233,23 @@ def _plan_scalar(kind, v_static, qw_static, tau, use_cubic, lam_hat, mu_hat, ts,
     return 2, 0.0, _round_threshold(q)
 
 
-def _estimate_update(frames_s, duration_s, service_s, valid_prev, n_frames,
-                     duration, svc_total, weight):
-    """Fold one finished cycle into the smoothed totals.
+def _estimate_update(frames_s, duration_s, service_s, n_frames, duration, svc_total, weight):
+    """Fold one finished cycle into the smoothed totals, which are nan while unset.
 
-    Returns (frames_s, duration_s, service_s, valid); rates are the ratios
+    Returns (frames_s, duration_s, service_s); rates are the ratios
     frames_s/duration_s and frames_s/service_s.  They are ratios of smoothed
     totals, not EWMAs of per-cycle ratios: with only a handful of frames per
     cycle the raw ratio is badly biased upward, the ratio of the smoothed
     totals is not.
     """
     if n_frames < 2.0 or duration <= 0.0 or svc_total <= 0.0:
-        return frames_s, duration_s, service_s, valid_prev
-    if not valid_prev:
-        return n_frames, duration, svc_total, True
+        return frames_s, duration_s, service_s
+    if math.isnan(frames_s):
+        return n_frames, duration, svc_total
     return (
         weight * n_frames + (1.0 - weight) * frames_s,
         weight * duration + (1.0 - weight) * duration_s,
         weight * svc_total + (1.0 - weight) * service_s,
-        True,
     )
 
 

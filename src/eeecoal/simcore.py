@@ -27,10 +27,15 @@ service times.  A cycle's first frame starts at the later of its arrival and
 the end of the wake transition; each later frame of the busy period arrived
 before the previous departure, so it starts at that departure.  An inner
 ``for`` over the shared iterator drains the busy period and stops at the
-arrival that opens the next cycle, so each frame is read once.  Each
-frame's service start is stored over the service time just read from the
-same buffer, and one subtraction after the pass makes the starts delays: a
-run holds two frame-sized arrays, not three.
+arrival that opens the next cycle, so each frame is read once, with a
+compare and an add: nothing is stored per frame.  After the pass the starts
+are rebuilt over the service times, bit for bit, by a running sum
+(``_rebuild_starts``) that restarts at every block of cycles and wherever
+folding in a cycle's opening rounds, and one subtraction makes them delays:
+a run holds two frame-sized arrays, not three.  The drain counts frames
+only where a plan reads the count, a threshold that a later frame fills and
+the adaptive estimate; otherwise a cycle's first frame is found after the
+pass as the first to arrive at or after its start.
 The kernel takes the policy and reads its fields once.  It has two loops.
 ``none`` and the static policies plan the same (mode, V, Q_w) every cycle
 and read no traffic estimate, so the static loop plans once per run, fixes
@@ -91,20 +96,18 @@ class CycleTable(NamedTuple):
 def _sim_kernel(arr, svc, policy, ts, tw):
     """Serve the frames, at least one; returns (per-frame delays, cycle table, end instant).
 
-    The delays are written over ``svc``: the shared ``zip(arr, svc)`` of the
-    loops yields frame j's service time before they store its service start.
+    The delays are written over ``svc``: the loops only read it, and the
+    starts rebuilt from it after the pass become the delays.
     """
     n = arr.shape[0]
-    delays = svc
     kind, tau, use_cubic = policy.kind, float(policy.tau), policy.solver == "cubic"
     # a cycle serves at least one frame, so n rows are enough
     index = np.int32 if n < 2**31 else np.int64
     dtypes = (np.float64, index, np.int8, np.float64, np.float64, np.float64, np.float64, np.float64)
     # The loops iterate and index memoryviews: each value is a Python float, so
     # the per-frame and per-cycle arithmetic (down to the planner's solvers) never
-    # runs on numpy scalars, which is several times slower.  No copy is made.  They
-    # store service starts, which the subtraction after them makes delays.
-    views = memoryview(arr), memoryview(svc), memoryview(delays)
+    # runs on numpy scalars, which is several times slower.  No copy is made.
+    views = memoryview(arr), memoryview(svc)
     # _plan_scalar and _estimate_update are looked up on the module, where
     # tracing and the tests' spies wrap them
     if kind <= 3:
@@ -115,11 +118,23 @@ def _sim_kernel(arr, svc, policy, ts, tw):
         fixed = (None, None, *plan, None, math.nan, math.nan)
         table = CycleTable(*(np.empty(n, dt) if x is None else np.broadcast_to(dt(x), n)
                              for x, dt in zip(fixed, dtypes)))
-        c, end = _static_loop(*views, table, *plan, ts, tw)
+        # only a threshold that a later frame of the stream fills reads the
+        # frame index: A_q of q = 1 is the cycle's first arrival, and that of
+        # a timer or of a threshold past the stream's end is fixed for the run
+        counted = plan[0] != 1 and 1 < plan[2] <= n
+        c, end = _static_loop(*views, table, *plan, ts, tw, counted)
+        # Uncounted first frames are found from the cycle starts after the
+        # pass, which fails only where a frame's service rounds away at its
+        # start instant and a later frame arrives at that instant.  Every start
+        # lies between the first arrival and the end, where a service time of
+        # one ulp cannot round away; failing that, count the frames.
+        if not counted and svc.min() < math.ulp(max(abs(arr[0]), abs(end))):
+            counted = True
+            c, end = _static_loop(*views, table, *plan, ts, tw, counted)
     else:
         table = CycleTable(*(np.empty(n, dtype=dt) for dt in dtypes))
         c, end = _adaptive_loop(*views, table, kind, tau, use_cubic, ts, tw)
-    np.subtract(delays, arr, out=delays)
+        counted = True
     # keep only the c rows that ran: each written column shrinks in place, and
     # the plan's views are sliced.  resize raises while any other reference or
     # view of the column is alive (a loop variable bound to it would be one),
@@ -127,15 +142,23 @@ def _sim_kernel(arr, svc, policy, ts, tw):
     for k in range(len(table)):
         if table[k].flags.writeable:
             table[k].resize(c)
-    return delays, CycleTable(*(col if col.flags.writeable else col[:c] for col in table)), end
+    table = CycleTable(*(col if col.flags.writeable else col[:c] for col in table))
+    if not counted:
+        # every earlier frame arrived before a departure no later than the
+        # cycle's start, and its first frame at or after it
+        table.first[0] = 0
+        table.first[1:] = np.searchsorted(arr, table.start[1:])
+    _rebuild_starts(arr, svc, table, tw)
+    np.subtract(svc, arr, out=svc)
+    return svc, table, end
 
 
-def _static_loop(arr, svc, dly, table, mode, pv, pq, ts, tw):
+def _static_loop(arr, svc, table, mode, pv, pq, ts, tw, counted):
     """Run one fixed plan; returns (cycles, end instant).
 
     A static plan never suspends and reads no estimate, so none is kept:
-    each cycle stores its start, first frame and wake instant, and the
-    table's other columns are the plan and nan already.
+    each cycle stores its start and wake instant, and its first frame when
+    ``counted``; the table's other columns are the plan and nan already.
     """
     c_start, c_first, c_wake = map(memoryview, (table.start, table.first, table.wake))
     n = len(arr)
@@ -151,11 +174,15 @@ def _static_loop(arr, svc, dly, table, mode, pv, pq, ts, tw):
     j = 0
     t_empty = 0.0
     c = 0
-    while j < n:
+    while True:
         # (a, s) is frame j, the first of cycle c: wake at
         # min(a + V, max(A_q, t_empty + ts))
-        qi = j + ahead
-        wake = arr[qi] if qi < n else tail
+        if counted:
+            qi = j + ahead
+            wake = arr[qi] if qi < n else tail
+            c_first[c] = j
+        else:
+            wake = a if ahead == 0 else tail
         sleep_end = t_empty + ts
         if wake < sleep_end:
             wake = sleep_end
@@ -163,7 +190,6 @@ def _static_loop(arr, svc, dly, table, mode, pv, pq, ts, tw):
         if t_timer < wake:
             wake = t_timer
         c_start[c] = t_empty
-        c_first[c] = j
         c_wake[c] = wake
         c += 1
 
@@ -171,21 +197,27 @@ def _static_loop(arr, svc, dly, table, mode, pv, pq, ts, tw):
         depart = wake + tw
         if depart < a:
             depart = a
-        dly[j] = depart
         depart += s
-        j += 1
-        for a, s in frames:
-            if a >= depart:
-                break
-            dly[j] = depart
-            depart += s
+        if counted:
             j += 1
+            for a, s in frames:
+                if a >= depart:
+                    break
+                depart += s
+                j += 1
+            else:
+                return c, depart
+        else:
+            for a, s in frames:
+                if a >= depart:
+                    break
+                depart += s
+            else:
+                return c, depart
         t_empty = depart
 
-    return c, t_empty
 
-
-def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
+def _adaptive_loop(arr, svc, table, kind, tau, use_cubic, ts, tw):
     """Plan every cycle from the traffic estimate; returns (cycles, end instant).
 
     An adaptive plan suspends, sets a timer or sets a threshold, never both.
@@ -193,17 +225,14 @@ def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
     c_start, c_first, c_mode, c_v, c_qw, c_wake, c_lam, c_mu = map(memoryview, table)
     # an unset estimate has nan totals, so its rates are nan
     est_frames = est_duration = est_service = math.nan
-    est_valid = False
 
     n = len(arr)
     # cold start: until a cycle with >= 2 frames completes, the estimate is
     # seeded from the first positive interarrival gap and the first frame's
     # service, in the first cycle that opens past that gap (never, if the
     # stream has no such gap)
-    # svc[0] is read before the pass, which writes a service start over it
-    svc_0 = svc[0]
     gap_at = n
-    if svc_0 > 0.0:
+    if svc[0] > 0.0:
         gap_at = next((k for k in range(1, n) if arr[k] - arr[k - 1] > 0.0), n)
     frames = zip(arr, svc)
     a, s = next(frames)                 # the first frame opens cycle 0 at t_empty = 0
@@ -212,9 +241,8 @@ def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
     c = 0
     while j < n:
         # (a, s) is frame j, the first of cycle c
-        if not est_valid and j > gap_at:
-            est_frames, est_duration, est_service = 1.0, arr[gap_at] - arr[gap_at - 1], svc_0
-            est_valid = True
+        if j > gap_at and math.isnan(est_frames):
+            est_frames, est_duration, est_service = 1.0, arr[gap_at] - arr[gap_at - 1], svc[0]
         plan_lam = est_frames / est_duration
         plan_mu = est_frames / est_service
         mode, pv, pq = _plan_scalar(kind, 0.0, 0.0, tau, use_cubic, plan_lam, plan_mu, ts, tw)
@@ -251,24 +279,70 @@ def _adaptive_loop(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
         # previous departure, so it starts at that departure
         if depart < a:
             depart = a
-        dly[j] = depart
         svc_sum = s
         depart += s
         j += 1
         for a, s in frames:
             if a >= depart:
                 break
-            dly[j] = depart
             depart += s
             svc_sum += s
             j += 1
 
-        est_frames, est_duration, est_service, est_valid = _estimate_update(
-            est_frames, est_duration, est_service, est_valid,
+        est_frames, est_duration, est_service = _estimate_update(
+            est_frames, est_duration, est_service,
             float(j - first), depart - t_empty, svc_sum, DEFAULT_EWMA_WEIGHT)
         t_empty = depart
 
     return c, t_empty
+
+
+def _first_starts(wake, mode, first_arrivals, tw):
+    """Service start of each cycle's first frame, as the loops compute it.
+
+    The frame starts once it has arrived and the link is awake: tw after the
+    wake instant, or at once in a suspended cycle.
+    """
+    ready = np.where(mode != MODE_SUSPEND, wake + tw, wake)
+    return np.where(ready < first_arrivals, first_arrivals, ready)
+
+
+# cycles per block of the start rebuild, which bounds its temporaries
+_REBUILD_BLOCK = 4096
+
+
+def _rebuild_starts(arr, svc, cycles: CycleTable, tw):
+    """Write every frame's service start over its service time, bit for bit as the loops found it.
+
+    A cycle's first frame starts at d0, the later of its arrival and the
+    link's readiness; each later frame starts at the previous departure, a
+    running sum that one ``np.cumsum`` per block of cycles redoes in the
+    loops' order.  Each cycle's opening is folded into that sum as
+    d1 - start, d1 the first frame's departure, which the sum meets exactly
+    whenever start + (d1 - start) == d1 (always if d1 <= 2 start); the sum
+    restarts at d1 at a block's first cycle and wherever that fold rounds.
+    """
+    n = len(arr)
+    n_cycles = len(cycles.start)
+    for c0 in range(0, n_cycles, _REBUILD_BLOCK):
+        rows = slice(c0, c0 + _REBUILD_BLOCK)
+        firsts = cycles.first[rows]
+        start = cycles.start[rows]
+        d0 = _first_starts(cycles.wake[rows], cycles.mode[rows], arr[firsts], tw)
+        d1 = d0 + svc[firsts]
+        y = d1 - start
+        folds = start + y == d1
+        folds[0] = False
+        svc[firsts] = np.where(folds, y, d1)
+        lo = int(firsts[0])
+        hi = int(cycles.first[c0 + _REBUILD_BLOCK]) if c0 + _REBUILD_BLOCK < n_cycles else n
+        cuts = firsts[~folds].tolist() + [hi]
+        for p, q in zip(cuts, cuts[1:]):
+            np.cumsum(svc[p:q], out=svc[p:q])
+        # each departure is the next frame's start (numpy copies overlapping
+        # slices as if through a temporary, without making one here)
+        svc[lo + 1:hi] = svc[lo:hi - 1]
+        svc[firsts] = d0
 
 
 def _t_off(cycles: CycleTable, ts: float) -> np.ndarray:
@@ -443,14 +517,11 @@ def cycle_view(report: SimReport) -> CycleView:
     cyc, times = report.cycles, report.arrivals
     t_first = times[cyc.first]
     slept = cyc.mode != MODE_SUSPEND
-    # service of the first frame can start once the link is awake: tw after
-    # the wake instant, or at once in a suspended cycle
-    ready = cyc.wake + np.where(slept, report.params.tw, 0.0)
     # a suspended cycle's wake instant is its start, which frames of a trace
     # can precede in cycle 0; only the mode says that none arrived asleep
     return CycleView(
         t_e=t_first - cyc.start,
-        w_f=np.maximum(ready, t_first) - t_first,
+        w_f=_first_starts(cyc.wake, cyc.mode, t_first, report.params.tw) - t_first,
         t_off=_t_off(cyc, report.params.ts),
         frames_while_asleep=np.where(slept, np.searchsorted(times, cyc.wake) - cyc.first, 0),
         frames_total=np.diff(cyc.first, append=report.n_frames),

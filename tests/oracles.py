@@ -10,6 +10,7 @@ import io
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from eeecoal.policy import (
     DEFAULT_EWMA_WEIGHT,
     RHO_CLAMP,
     PolicyConfig,
-    _estimate_update,
+    _plan_scalar,
     _round_threshold,
     _solve_threshold,
 )
@@ -341,6 +342,28 @@ def plan_scalar_flagged(kind, v_static, qw_static, tau, use_cubic, lam_hat, mu_h
     return 2, 0.0, _round_threshold(q)
 
 
+def estimate_update_flagged(frames_s, duration_s, service_s, valid_prev, n_frames,
+                            duration, svc_total, weight):
+    """Fold one finished cycle into the smoothed totals.
+
+    Returns (frames_s, duration_s, service_s, valid); rates are the ratios
+    frames_s/duration_s and frames_s/service_s.  They are ratios of smoothed
+    totals, not EWMAs of per-cycle ratios: with only a handful of frames per
+    cycle the raw ratio is badly biased upward, the ratio of the smoothed
+    totals is not.
+    """
+    if n_frames < 2.0 or duration <= 0.0 or svc_total <= 0.0:
+        return frames_s, duration_s, service_s, valid_prev
+    if not valid_prev:
+        return n_frames, duration, svc_total, True
+    return (
+        weight * n_frames + (1.0 - weight) * frames_s,
+        weight * duration + (1.0 - weight) * duration_s,
+        weight * svc_total + (1.0 - weight) * service_s,
+        True,
+    )
+
+
 def sim_kernel_summary(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma_w,
                        ts, tw, warmup, record):
     """The per-frame kernel that filled a summary vector and a record matrix.
@@ -512,7 +535,7 @@ def sim_kernel_summary(arr, svc, kind, v_static, qw_static, tau, use_cubic, ewma
             cyc[c, _C_MUHAT] = plan_mu if est_valid else math.nan
             cyc[c, _C_NSLEEP] = nsleep
 
-        est_frames, est_duration, est_service, est_valid = _estimate_update(
+        est_frames, est_duration, est_service, est_valid = estimate_update_flagged(
             est_frames, est_duration, est_service, est_valid,
             float(nfr), dur, svc_sum, ewma_w)
 
@@ -733,7 +756,7 @@ def sim_kernel_table(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw
         c_lam[c] = plan_lam if est_valid else math.nan
         c_mu[c] = plan_mu if est_valid else math.nan
 
-        est_frames, est_duration, est_service, est_valid = _estimate_update(
+        est_frames, est_duration, est_service, est_valid = estimate_update_flagged(
             est_frames, est_duration, est_service, est_valid,
             float(j - i), depart - t_empty, svc_sum, DEFAULT_EWMA_WEIGHT)
 
@@ -916,12 +939,206 @@ def _two_loops_adaptive(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
         c_lam[c] = plan_lam if est_valid else math.nan
         c_mu[c] = plan_mu if est_valid else math.nan
 
-        est_frames, est_duration, est_service, est_valid = _estimate_update(
+        est_frames, est_duration, est_service, est_valid = estimate_update_flagged(
             est_frames, est_duration, est_service, est_valid,
             float(j - i), depart - t_empty, svc_sum, DEFAULT_EWMA_WEIGHT)
 
         t_empty = depart
         i = j
         c += 1
+
+    return c, t_empty
+
+
+def sim_kernel_stored_starts(arr, svc, kind, v_static, qw_static, tau, use_cubic, ts, tw):
+    """The kernel that stored each frame's service start as its loops drained it.
+
+    Returns (per-frame delays, cycle table, end instant), as ``simcore._sim_kernel``,
+    whose signature it had; this takes the policy's fields as the other oracles do.
+    """
+    policy = SimpleNamespace(kind=kind, v=v_static, qw=qw_static, tau=tau,
+                             solver="cubic" if use_cubic else "approx")
+    return _stored_starts_kernel(arr, svc, policy, ts, tw)
+
+
+def _stored_starts_kernel(arr, svc, policy, ts, tw):
+    """Serve the frames, at least one; returns (per-frame delays, cycle table, end instant).
+
+    The delays are written over ``svc``: the shared ``zip(arr, svc)`` of the
+    loops yields frame j's service time before they store its service start.
+    """
+    n = arr.shape[0]
+    delays = svc
+    kind, tau, use_cubic = policy.kind, float(policy.tau), policy.solver == "cubic"
+    # a cycle serves at least one frame, so n rows are enough
+    index = np.int32 if n < 2**31 else np.int64
+    dtypes = (np.float64, index, np.int8, np.float64, np.float64, np.float64, np.float64, np.float64)
+    # The loops iterate and index memoryviews: each value is a Python float, so
+    # the per-frame and per-cycle arithmetic (down to the planner's solvers) never
+    # runs on numpy scalars, which is several times slower.  No copy is made.  They
+    # store service starts, which the subtraction after them makes delays.
+    views = memoryview(arr), memoryview(svc), memoryview(delays)
+    # _plan_scalar and _estimate_update are looked up on the module, where
+    # tracing and the tests' spies wrap them
+    if kind <= 3:
+        # none and the static kinds plan the same (mode, V, Q_w) every cycle: only
+        # start, first and wake vary, the rest are read-only views of the plan and nan
+        plan = _plan_scalar(kind, float(policy.v), float(policy.qw), tau, use_cubic,
+                            math.nan, math.nan, ts, tw)
+        fixed = (None, None, *plan, None, math.nan, math.nan)
+        table = CycleTable(*(np.empty(n, dt) if x is None else np.broadcast_to(dt(x), n)
+                             for x, dt in zip(fixed, dtypes)))
+        c, end = _stored_starts_static(*views, table, *plan, ts, tw)
+    else:
+        table = CycleTable(*(np.empty(n, dtype=dt) for dt in dtypes))
+        c, end = _stored_starts_adaptive(*views, table, kind, tau, use_cubic, ts, tw)
+    np.subtract(delays, arr, out=delays)
+    # keep only the c rows that ran: each written column shrinks in place, and
+    # the plan's views are sliced.  resize raises while any other reference or
+    # view of the column is alive (a loop variable bound to it would be one),
+    # so no view can be left dangling
+    for k in range(len(table)):
+        if table[k].flags.writeable:
+            table[k].resize(c)
+    return delays, CycleTable(*(col if col.flags.writeable else col[:c] for col in table)), end
+
+
+def _stored_starts_static(arr, svc, dly, table, mode, pv, pq, ts, tw):
+    """Run one fixed plan; returns (cycles, end instant).
+
+    A static plan never suspends and reads no estimate, so none is kept:
+    each cycle stores its start, first frame and wake instant, and the
+    table's other columns are the plan and nan already.
+    """
+    c_start, c_first, c_wake = map(memoryview, (table.start, table.first, table.wake))
+    n = len(arr)
+    # the wake rule's terms, fixed for the run: what the plan lacks is
+    # infinite, V for a threshold and Q_w for a timer (its A_q is never in
+    # the stream); past the stream's end A_q is the final arrival for a
+    # threshold and inf for a dual
+    timer = math.inf if mode == 2 else pv
+    ahead = n if mode == 1 else int(pq) - 1    # frames after the first that fill the threshold
+    tail = arr[n - 1] if mode == 2 else math.inf
+    frames = zip(arr, svc)
+    a, s = next(frames)                 # the first frame opens cycle 0 at t_empty = 0
+    j = 0
+    t_empty = 0.0
+    c = 0
+    while j < n:
+        # (a, s) is frame j, the first of cycle c: wake at
+        # min(a + V, max(A_q, t_empty + ts))
+        qi = j + ahead
+        wake = arr[qi] if qi < n else tail
+        sleep_end = t_empty + ts
+        if wake < sleep_end:
+            wake = sleep_end
+        t_timer = a + timer
+        if t_timer < wake:
+            wake = t_timer
+        c_start[c] = t_empty
+        c_first[c] = j
+        c_wake[c] = wake
+        c += 1
+
+        # drain FIFO until the buffer empties, as the adaptive loop does
+        depart = wake + tw
+        if depart < a:
+            depart = a
+        dly[j] = depart
+        depart += s
+        j += 1
+        for a, s in frames:
+            if a >= depart:
+                break
+            dly[j] = depart
+            depart += s
+            j += 1
+        t_empty = depart
+
+    return c, t_empty
+
+
+def _stored_starts_adaptive(arr, svc, dly, table, kind, tau, use_cubic, ts, tw):
+    """Plan every cycle from the traffic estimate; returns (cycles, end instant).
+
+    An adaptive plan suspends, sets a timer or sets a threshold, never both.
+    """
+    c_start, c_first, c_mode, c_v, c_qw, c_wake, c_lam, c_mu = map(memoryview, table)
+    # an unset estimate has nan totals, so its rates are nan
+    est_frames = est_duration = est_service = math.nan
+    est_valid = False
+
+    n = len(arr)
+    # cold start: until a cycle with >= 2 frames completes, the estimate is
+    # seeded from the first positive interarrival gap and the first frame's
+    # service, in the first cycle that opens past that gap (never, if the
+    # stream has no such gap)
+    # svc[0] is read before the pass, which writes a service start over it
+    svc_0 = svc[0]
+    gap_at = n
+    if svc_0 > 0.0:
+        gap_at = next((k for k in range(1, n) if arr[k] - arr[k - 1] > 0.0), n)
+    frames = zip(arr, svc)
+    a, s = next(frames)                 # the first frame opens cycle 0 at t_empty = 0
+    j = 0
+    t_empty = 0.0
+    c = 0
+    while j < n:
+        # (a, s) is frame j, the first of cycle c
+        if not est_valid and j > gap_at:
+            est_frames, est_duration, est_service = 1.0, arr[gap_at] - arr[gap_at - 1], svc_0
+            est_valid = True
+        plan_lam = est_frames / est_duration
+        plan_mu = est_frames / est_service
+        mode, pv, pq = _plan_scalar(kind, 0.0, 0.0, tau, use_cubic, plan_lam, plan_mu, ts, tw)
+
+        wake = t_empty
+        if mode == 0:
+            # suspended: stay active-idle until the next arrival
+            depart = t_empty
+        else:
+            if mode == 1:
+                wake = a + pv
+            else:
+                qi = j + int(pq) - 1
+                # a stream that ends before the threshold fills wakes at the
+                # final arrival, so the run drains (truncation artifact)
+                wake = arr[qi] if qi < n else arr[n - 1]
+                sleep_end = t_empty + ts
+                if wake < sleep_end:
+                    wake = sleep_end
+            depart = wake + tw
+        first = j
+        c_start[c] = t_empty
+        c_first[c] = first
+        c_mode[c] = mode
+        c_v[c] = pv
+        c_qw[c] = pq
+        c_wake[c] = wake
+        c_lam[c] = plan_lam
+        c_mu[c] = plan_mu
+        c += 1
+
+        # drain FIFO until the buffer empties: the first frame starts when
+        # both it and the link are ready; every later one arrived before the
+        # previous departure, so it starts at that departure
+        if depart < a:
+            depart = a
+        dly[j] = depart
+        svc_sum = s
+        depart += s
+        j += 1
+        for a, s in frames:
+            if a >= depart:
+                break
+            dly[j] = depart
+            depart += s
+            svc_sum += s
+            j += 1
+
+        est_frames, est_duration, est_service, est_valid = estimate_update_flagged(
+            est_frames, est_duration, est_service, est_valid,
+            float(j - first), depart - t_empty, svc_sum, DEFAULT_EWMA_WEIGHT)
+        t_empty = depart
 
     return c, t_empty

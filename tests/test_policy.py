@@ -14,9 +14,9 @@ import oracles
 EST_5G = (0.4166667, 0.8333333)
 INVALID = (math.nan, math.nan)
 
-# estimator state (frames_s, duration_s, service_s, valid)
-STATE_5G = (1.0, 1.0 / 0.4166667, 1.0 / 0.8333333, True)
-NO_STATE = (0.0, 0.0, 0.0, False)
+# estimator state (frames_s, duration_s, service_s); an unset one has nan totals
+STATE_5G = (1.0, 1.0 / 0.4166667, 1.0 / 0.8333333)
+NO_STATE = (math.nan, math.nan, math.nan)
 
 
 def plan(config, est, params):
@@ -34,7 +34,7 @@ def update(state, frames, duration, bytes_total, params, weight=DEFAULT_EWMA_WEI
 
 
 def rates(state):
-    frames_s, duration_s, service_s, _ = state
+    frames_s, duration_s, service_s = state
     return frames_s / duration_s, frames_s / service_s
 
 
@@ -143,18 +143,39 @@ class TestPlanEqualsFlaggedPlanner:
         assert _plan_bits(new) == _plan_bits(old)
 
 
+class TestUpdateEqualsFlaggedUpdate:
+    """The estimator equals the oracle that took a validity flag: nan totals
+    update as that oracle's invalid state, and every valid state alike."""
+
+    @given(totals=st.tuples(*[st.floats(0.0, 1e6)] * 3), valid=st.booleans(),
+           n_frames=st.integers(1, 60), duration=st.floats(-1.0, 1e6),
+           svc_total=st.floats(-1.0, 1e6), weight=st.floats(0.0, 1.0))
+    @example(totals=(0.0, 0.0, 0.0), valid=False, n_frames=1, duration=24.0, svc_total=1.2,
+             weight=DEFAULT_EWMA_WEIGHT)
+    @example(totals=(0.0, 0.0, 0.0), valid=False, n_frames=10, duration=24.0, svc_total=12.0,
+             weight=DEFAULT_EWMA_WEIGHT)
+    @settings(max_examples=1000, deadline=None)
+    def test_same_totals_bit_for_bit(self, totals, valid, n_frames, duration, svc_total, weight):
+        new = _estimate_update(*(totals if valid else NO_STATE), float(n_frames),
+                               duration, svc_total, weight)
+        *old, still_valid = oracles.estimate_update_flagged(*totals, valid, float(n_frames),
+                                                            duration, svc_total, weight)
+        expected = old if still_valid else NO_STATE
+        assert [x.hex() for x in new] == [float(x).hex() for x in expected]
+
+
 class TestUpdateEstimate:
     def test_first_cycle_sets_rates(self, params):
         # 10 frames of 1500 B over 24 us on a 10 Gb/s line
         state = update(NO_STATE, 10, 24.0, 15000.0, params)
-        assert state[3]
+        assert state == (10.0, 24.0, 12.0)
         lam, mu = rates(state)
         assert lam == pytest.approx(0.4167, abs=1e-4)
         assert mu == pytest.approx(0.8333, abs=1e-4)
 
     def test_single_frame_cycle_is_ignored(self, params):
         assert update(STATE_5G, 1, 24.0, 1500.0, params) == STATE_5G
-        assert update(NO_STATE, 1, 24.0, 1500.0, params) == NO_STATE
+        assert all(map(math.isnan, update(NO_STATE, 1, 24.0, 1500.0, params)))
 
     def test_equal_duration_cycles_blend_like_rate_ewma(self, params):
         # two cycles of identical duration: the smoothed-totals ratio reduces

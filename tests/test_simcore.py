@@ -382,10 +382,11 @@ class TestReportShape:
 
     def test_static_run_working_set(self, params):
         # none at 1 Gb/s opens a cycle for about two frames in three, and its
-        # report keeps the arrivals, the delays and a table with n rows: 16
-        # bytes a frame and 20 a row for start, first and wake.  At its peak
-        # the run holds no more than these (the kernel writes the delays over
-        # the service times) and the aggregates' per-cycle temporaries
+        # report keeps the arrivals, the delays and one table row per cycle:
+        # 16 bytes a frame and 20 a row for start, first and wake, about 29 a
+        # frame (36 if the table kept n rows).  At its peak the run holds no
+        # more than the n-row table the kernel fills, these arrays (it writes
+        # the delays over the service times) and per-cycle temporaries
         n = 200_000
         tracemalloc.start()
         try:
@@ -395,7 +396,7 @@ class TestReportShape:
         finally:
             tracemalloc.stop()
         assert rep.n_cycles > n // 2
-        assert retained / n <= 40.0
+        assert retained / n <= 31.0
         assert peak / n <= 44.0
 
     @pytest.mark.parametrize("policy", [PolicyConfig.static_size(12), PolicyConfig.dynamic_size(16.0)],
@@ -569,8 +570,10 @@ class TestAgainstSummaryKernel:
 
 
 # the kernels the current one replaced: one loop that takes the ``max`` for
-# every frame, then two loops that drain each busy period by index
-ORACLE_KERNELS = (oracles.sim_kernel_table, oracles.sim_kernel_two_loops)
+# every frame, then two loops that drain each busy period by index, then two
+# that store each frame's service start as they drain it
+ORACLE_KERNELS = (oracles.sim_kernel_table, oracles.sim_kernel_two_loops,
+                  oracles.sim_kernel_stored_starts)
 
 
 def _own_svc(args):
@@ -646,6 +649,26 @@ def _burst_then_poisson(tmp):
     return TrafficSpec(trace=Trace(times, np.full(len(times), 1500.0)))
 
 
+def _doubling_bursts(tmp):
+    # bursts of 12 frames at one instant, each 2 to 3 times later than the
+    # last: a cycle's first departure d1 is more than twice its start, so
+    # start + (d1 - start) can round off d1
+    rng = np.random.default_rng(0)
+    bursts = [1.0]
+    for _ in range(27):
+        bursts.append((bursts[-1] + 40.0) * rng.uniform(2.0, 3.0))
+    times = np.repeat(bursts, 12)
+    return TrafficSpec(trace=Trace(times, np.full(len(times), 1500.0)))
+
+
+def _fold_rounds(cycles, arrivals, svc, tw):
+    """Per cycle, whether start + (d1 - start) != d1, d1 its first frame's departure."""
+    a = arrivals[cycles.first]
+    ready = np.where(cycles.mode != MODE_SUSPEND, cycles.wake + tw, cycles.wake)
+    d1 = np.where(ready < a, a, ready) + svc[cycles.first]
+    return cycles.start + (d1 - cycles.start) != d1
+
+
 class TestAgainstCycleTableKernel:
     """The flat pass reproduces both kernels it replaced: the one loop that took
     the ``max`` for every frame and planned and estimated every cycle of every
@@ -702,6 +725,30 @@ class TestAgainstCycleTableKernel:
             cycles = new[1]
             times = np.loadtxt(trace, delimiter=",")[:, 0]
             assert np.any(cycles.start[1:] == times[cycles.first[1:]])
+
+    @pytest.mark.parametrize("policy", POLICIES + [PolicyConfig.dynamic_timer(0.5)],
+                             ids=lambda p: f"{p.label()}-{p.tau:g}")
+    def test_restart_where_the_fold_rounds(self, params, tmp_path, monkeypatch, policy):
+        # the starts are rebuilt by a running sum that folds in each cycle's
+        # opening, and must restart at a cycle where that fold rounds
+        spec = _doubling_bursts(tmp_path)
+        new, olds = _kernel_and_oracles(monkeypatch, spec, policy, params)
+        assert_same_kernel_output(new, olds, policy)
+        svc = spec.trace.sizes * 8.0 / params.rate_bits_per_us
+        assert np.any(_fold_rounds(new[1], spec.trace.times, svc, params.tw)[1:])
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.label())
+    def test_service_that_rounds_away(self, params, monkeypatch, policy):
+        # at 1e18 us a 1.2 us service rounds away, so a frame departs as it
+        # arrived and the next can open a cycle at that instant: a cycle's
+        # start no longer tells its first frame, so the kernel counts frames
+        times = 1e18 + np.repeat([0.0, 2048.0, 4096.0, 1e6], [4, 2, 4, 2])
+        spec = TrafficSpec(trace=Trace(times, np.full(len(times), 1500.0)))
+        new, olds = _kernel_and_oracles(monkeypatch, spec, policy, params)
+        assert_same_kernel_output(new, olds, policy)
+        if policy.kind == PolicyConfig.none().kind:
+            cycles = new[1]
+            assert np.any(np.searchsorted(times, cycles.start[1:]) != cycles.first[1:])
 
     @pytest.mark.parametrize("policy", [PolicyConfig.static_size(12), PolicyConfig.dynamic_size(16.0)],
                              ids=lambda p: p.label())
@@ -777,6 +824,33 @@ class TestWakeRule:
         horizon = {} if spec.is_trace else {"n_frames": 6000}
         rep = run(spec, policy, params, seed=5, **horizon)
         assert _bits(rep.cycles.wake) == _bits(wake_by_rule(rep))
+
+
+def _whole_us_ties(tmp):
+    # 1250-byte frames take 1 us at 10 Gb/s: with whole-us arrivals, ts = 2
+    # and tw = 4 us, frames arrive exactly when the buffer empties
+    times = np.array([2 * k + (k // 7) % 3 for k in range(3000)], dtype=np.float64)
+    return TrafficSpec(trace=Trace(times, np.full(len(times), 1250.0)))
+
+
+FIRST_FRAME_TRAFFIC = TestAgainstCycleTableKernel.KERNEL_TRAFFIC | {"whole-us-ties": _whole_us_ties}
+
+
+class TestFirstFrames:
+    """A cycle's start tells its first frame, the first to arrive at or after
+    it: every earlier frame arrived before a departure no later than the start."""
+
+    @pytest.mark.parametrize("traffic", list(FIRST_FRAME_TRAFFIC))
+    @pytest.mark.parametrize("policy", POLICIES + [PolicyConfig.dynamic_timer(0.5)],
+                             ids=lambda p: f"{p.label()}-{p.tau:g}")
+    def test_first_frame_is_the_first_arrival_from_the_start(self, tmp_path, policy, traffic):
+        spec = FIRST_FRAME_TRAFFIC[traffic](tmp_path)
+        horizon = {} if spec.is_trace else {"n_frames": 6000}
+        rep = run(spec, policy, EeeParams(ts=2.0, tw=4.0), seed=5, **horizon)
+        cycles = rep.cycles
+        assert cycles.first[0] == 0
+        assert np.array_equal(cycles.first[1:],
+                              np.searchsorted(rep.arrivals, cycles.start[1:], side="left"))
 
 
 # (gap to the previous arrival, size) per frame: arrivals in whole us, with
